@@ -13,6 +13,7 @@
 #include "common.h"
 #include "common/stopwatch.h"
 #include "edms/edms_engine.h"
+#include "host_speed.h"
 #include "trace.h"
 
 namespace perfbench {
@@ -46,7 +47,6 @@ class BrpRolling : public Workload {
     for (size_t s = slice_begin_.size() - 1; s-- > 0;) {
       slice_begin_[s] = std::min(slice_begin_[s], slice_begin_[s + 1]);
     }
-    time_flexibility_ = TimeFlexibilityById(offers_);
     history_ = MakeSiteHistory(2.0);
   }
 
@@ -84,8 +84,9 @@ class BrpRolling : public Workload {
     };
     std::vector<std::vector<Meter>> meter_at(static_cast<size_t>(end_slice_) +
                                              kHorizon + 64);
-    AggregationTally aggregation(time_flexibility_);
+    AggregationTally aggregation;
 
+    HostSpeed speed;
     int64_t due_ns = 0;
     auto drain = [&](TimeSlice now) {
       std::vector<edms::Event> events;
@@ -98,8 +99,7 @@ class BrpRolling : public Workload {
         ledger.Observe(event);
         aggregation.Observe(event);
         if (const auto* a = std::get_if<edms::OfferAccepted>(&event)) {
-          r.accept_ms[a->offer - 1] =
-              static_cast<double>(seen_ns - due_ns) * 1e-6;
+          r.accept_ms[a->offer - 1] = speed.ScaledMs(seen_ns - due_ns);
         } else if (const auto* s = std::get_if<edms::ScheduleAssigned>(&event)) {
           const TimeSlice end =
               s->schedule.start +
@@ -117,12 +117,15 @@ class BrpRolling : public Workload {
 
     mirabel::Stopwatch timed;
     for (TimeSlice now = 0; now < end_slice_ && r.violations.empty(); ++now) {
-      // Closed loop: the slice's offers are due when the previous slice
-      // finished.
-      const int64_t slice_start = trace::NowNs();
-      if (now > 0) {
-        r.step_ms.push_back(static_cast<double>(slice_start - due_ns) * 1e-6);
+      // A gate's scale comes from a probe right before it.
+      if (now % kGatePeriod == 0) {
+        speed.Sample();
+      } else {
+        speed.MaybeSample();
       }
+      // Closed loop: the slice's offers are due when the previous slice
+      // finished (the host-speed sample aside).
+      const int64_t slice_start = trace::NowNs();
       due_ns = slice_start;
       const size_t begin = slice_begin_[static_cast<size_t>(now)];
       const size_t end = slice_begin_[static_cast<size_t>(now) + 1];
@@ -144,10 +147,9 @@ class BrpRolling : public Workload {
           trace::Scope span(trace::Kind::kGate, now);
           st = engine.Advance(now);
         }
-        const double ms =
-            static_cast<double>(trace::NowNs() - gate_start) * 1e-6;
-        r.gate_ms.push_back(ms);
-        r.gate_busy_s += ms * 1e-3;
+        const int64_t gate_ns = trace::NowNs() - gate_start;
+        r.gate_ms.push_back(speed.ScaledMs(gate_ns));
+        r.gate_busy_s += static_cast<double>(gate_ns) * 1e-9;
         if (!st.ok()) r.violations.push_back("Advance: " + st.ToString());
         drain(now);
         aggregation.EndGate();
@@ -163,12 +165,16 @@ class BrpRolling : public Workload {
         due.clear();
         drain(now);
       }
+      r.step_ms.push_back(speed.ScaledMs(trace::NowNs() - slice_start));
     }
     // Every offer's deadline is past by now: close what the gates left.
+    speed.MaybeSample();
+    due_ns = trace::NowNs();
     engine.ExpireDeadlines(end_slice_);
     drain(end_slice_);
-    r.step_ms.push_back(static_cast<double>(trace::NowNs() - due_ns) * 1e-6);
+    r.step_ms.push_back(speed.ScaledMs(trace::NowNs() - due_ns));
     r.timed_s = timed.ElapsedSeconds();
+    r.probe_ms = speed.MedianProbeMs();
 
     const int64_t submitted = static_cast<int64_t>(offers_.size());
     const edms::EngineStats stats = engine.stats();
@@ -197,7 +203,6 @@ class BrpRolling : public Workload {
   std::vector<FlexOffer> offers_;
   /// offers_[slice_begin_[s] .. slice_begin_[s + 1]) were created in slice s.
   std::vector<size_t> slice_begin_;
-  std::vector<int64_t> time_flexibility_;
   TimeSlice end_slice_ = 0;
   SiteHistory history_;
 };

@@ -1,11 +1,9 @@
 #include "common.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <thread>
 
 #include "datagen/energy_series_generator.h"
 #include "datagen/flex_offer_generator.h"
@@ -251,15 +249,9 @@ void OfferLedger::Check(const EngineStats& stats, int64_t submitted,
 void AggregationTally::Observe(const mirabel::edms::Event& event) {
   namespace edms = mirabel::edms;
   if (const auto* m = std::get_if<edms::MacroPublished>(&event)) {
-    const int64_t members = static_cast<int64_t>(m->member_count);
     ++macros_;
     ++gate_macros_;
-    members_ += members;
-    macro_flex_members_ +=
-        members * (m->macro.latest_start - m->macro.earliest_start);
-  } else if (const auto* s = std::get_if<edms::ScheduleAssigned>(&event)) {
-    const auto id = s->schedule.offer_id;
-    if (id < time_flexibility_.size()) member_flex_ += time_flexibility_[id];
+    members_ += static_cast<int64_t>(m->member_count);
   }
 }
 
@@ -274,9 +266,6 @@ void AggregationTally::AddLayer(std::map<std::string, double>* layer) const {
   l["aggregation.compression_ratio"] =
       static_cast<double>(members_) / static_cast<double>(macros_);
   l["aggregation.live_aggregates_peak"] = static_cast<double>(peak_macros_);
-  l["aggregation.flex_loss_slices"] =
-      static_cast<double>(member_flex_ - macro_flex_members_) /
-      static_cast<double>(members_);
 }
 
 void CheckAllTerminal(const mirabel::edms::EdmsEngine& engine,
@@ -291,17 +280,6 @@ void CheckAllTerminal(const mirabel::edms::EdmsEngine& engine,
                             std::string(edms::ToString(state)));
     }
   }
-}
-
-std::vector<int64_t> TimeFlexibilityById(
-    const std::vector<mirabel::flexoffer::FlexOffer>& offers) {
-  std::vector<int64_t> out(offers.size() + 1, 0);
-  for (const auto& offer : offers) {
-    if (offer.id < out.size()) {
-      out[offer.id] = offer.latest_start - offer.earliest_start;
-    }
-  }
-  return out;
 }
 
 Fingerprint EngineFingerprint(const EngineStats& stats, int64_t submitted) {
@@ -337,7 +315,6 @@ void AddEngineLayer(const EngineStats& stats,
   l["edms.executions_timed_out"] +=
       static_cast<double>(stats.executions_timed_out);
   l["edms.executed"] += static_cast<double>(stats.offers_executed);
-  l["edms.shed"] += static_cast<double>(stats.offers_shed);
   l["edms.macros_scheduled"] += static_cast<double>(stats.macros_scheduled);
   l["edms.scheduling_runs"] += static_cast<double>(stats.scheduling_runs);
   const double received = l["edms.offers_received"];
@@ -361,34 +338,6 @@ double Median(std::vector<double> samples) {
   const size_t n = samples.size();
   return n % 2 == 1 ? samples[n / 2]
                     : 0.5 * (samples[n / 2 - 1] + samples[n / 2]);
-}
-
-void SleepUntilNs(int64_t deadline_ns) {
-  const int64_t now = trace::NowNs();
-  if (deadline_ns > now) {
-    std::this_thread::sleep_for(std::chrono::nanoseconds(deadline_ns - now));
-  }
-}
-
-void SpinAllThreads(int threads, double seconds) {
-  const int64_t until =
-      trace::NowNs() + static_cast<int64_t>(seconds * 1e9);
-  std::atomic<uint64_t> sink{0};
-  std::vector<std::thread> spinners;
-  for (int t = 0; t < threads; ++t) {
-    spinners.emplace_back([until, &sink] {
-      uint64_t x = 88172645463325252ULL;
-      while (trace::NowNs() < until) {
-        for (int i = 0; i < 4096; ++i) {
-          x ^= x << 13;
-          x ^= x >> 7;
-          x ^= x << 17;
-        }
-      }
-      sink.fetch_add(x, std::memory_order_relaxed);
-    });
-  }
-  for (std::thread& t : spinners) t.join();
 }
 
 }  // namespace perfbench

@@ -39,21 +39,24 @@ struct Fingerprint {
 /// One round: the workload's fixed amount of work, from set-up to the last
 /// terminal offer.
 struct RoundResult {
-  /// Forecaster training plus building the runtime, pool or nodes.
+  /// Forecaster training plus building the engine or the nodes.
   double setup_s = 0.0;
   /// Wall time of the simulated run after set-up (and after any warm-up).
   double timed_s = 0.0;
-  /// The timed run split into steps (ms) that sum to timed_s.
+  /// Median time of the host-speed probe over the round (ms).
+  double probe_ms = 0.0;
+  /// The timed run split into steps: timed_s without the host-speed probes
+  /// between them, each step scaled by host speed (ms; host_speed.h).
   std::vector<double> step_ms;
   /// Offers submitted into the system.
   int64_t offers = 0;
-  /// Gate closures that fired (ms), and offer due time -> acceptance (ms;
-  /// NaN for offers that were never accepted). Rounds replay the same work,
-  /// so entry i of every round times the same gate, offer or step.
+  /// Gate closures that fired, and offer due time -> acceptance (NaN for
+  /// offers that were never accepted), scaled by host speed (ms). Rounds
+  /// replay the same work, so entry i of every round times the same gate,
+  /// offer or step.
   std::vector<double> gate_ms;
   std::vector<double> accept_ms;
-  /// Wall time the gates kept the gate workers busy (s), summed over gates
-  /// and multiplied by the number of workers that run gates.
+  /// Wall time of all gates (s).
   double gate_busy_s = 0.0;
   /// Share of submitted offers that never got a schedule, except
   /// negotiation rejections (%).
@@ -75,7 +78,6 @@ class Workload {
 };
 
 std::unique_ptr<Workload> MakeBrpRolling(const RunOptions& options);
-std::unique_ptr<Workload> MakeIntakeStream(const RunOptions& options);
 std::unique_ptr<Workload> MakeHierarchy(const RunOptions& options);
 
 // --- Inputs ------------------------------------------------------------------
@@ -159,23 +161,15 @@ class OfferLedger {
 /// read zero between gates.
 class AggregationTally {
  public:
-  /// `time_flexibility[id]` is offer id's latest - earliest start.
-  explicit AggregationTally(std::vector<int64_t> time_flexibility)
-      : time_flexibility_(std::move(time_flexibility)) {}
-
   void Observe(const mirabel::edms::Event& event);
   /// Ends the current gate (for the per-gate aggregate peak).
   void EndGate();
-  /// Adds aggregation.compression_ratio, .live_aggregates_peak and
-  /// .flex_loss_slices.
+  /// Adds aggregation.compression_ratio and .live_aggregates_peak.
   void AddLayer(std::map<std::string, double>* layer) const;
 
  private:
-  std::vector<int64_t> time_flexibility_;
   int64_t macros_ = 0;
   int64_t members_ = 0;
-  int64_t macro_flex_members_ = 0;
-  int64_t member_flex_ = 0;
   int64_t gate_macros_ = 0;
   int64_t peak_macros_ = 0;
 };
@@ -184,10 +178,6 @@ class AggregationTally {
 /// tracks offers in.
 void CheckAllTerminal(const mirabel::edms::EdmsEngine& engine,
                       std::vector<std::string>* violations);
-
-/// Time flexibility per offer id (ids 1..n) of a generated input set.
-std::vector<int64_t> TimeFlexibilityById(
-    const std::vector<mirabel::flexoffer::FlexOffer>& offers);
 
 /// The determinism fingerprint of one engine (or merged runtime) run.
 Fingerprint EngineFingerprint(const mirabel::edms::EngineStats& stats,
@@ -202,11 +192,6 @@ void AddEngineLayer(const mirabel::edms::EngineStats& stats,
 /// Nearest-rank percentile (p in [0, 1]) of unsorted samples; 0 when empty.
 double Percentile(std::vector<double> samples, double p);
 double Median(std::vector<double> samples);
-/// Sleeps until `deadline_ns` (steady clock).
-void SleepUntilNs(int64_t deadline_ns);
-/// Keeps `threads` threads busy for `seconds`: the untimed warm-up that
-/// wakes idle cores before a multi-threaded timed phase.
-void SpinAllThreads(int threads, double seconds);
 
 }  // namespace perfbench
 

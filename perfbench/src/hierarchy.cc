@@ -11,6 +11,7 @@
 
 #include "common.h"
 #include "common/stopwatch.h"
+#include "host_speed.h"
 #include "node/aggregating_node.h"
 #include "node/message_bus.h"
 #include "node/prosumer_node.h"
@@ -26,15 +27,17 @@ namespace edms = mirabel::edms;
 namespace node = mirabel::node;
 
 constexpr int kGatePeriod = 16;
-/// The TSO ticks from this slice on, so its gates close one slice after the
-/// BRPs': the macros the BRPs forward at a gate (delivered one slice later)
-/// are scheduled at once instead of waiting a whole gate period, and their
-/// schedules are back with the BRPs (and disaggregated) one slice after that.
-constexpr TimeSlice kTsoFirstTick = 1;
-/// Slices one gate cycle spans: BRP gate, TSO gate, schedules delivered.
-constexpr TimeSlice kGateCycle = 3;
+/// Slices one gate cycle spans. In the gate slice the BRPs forward their new
+/// macros and the TSO schedules the macros forwarded one gate earlier (they
+/// arrived one slice after that gate); in the next slice the schedules reach
+/// the BRPs, which disaggregate them.
+constexpr TimeSlice kGateCycle = 2;
 constexpr int kHorizon = kSlicesPerDay;
 constexpr int kBrps = 4;
+/// Every prosumer tick scans its own store, so the offers held across all
+/// prosumers set most of a round's time. 1.5 a day keeps a round near 3 s,
+/// which gives each step about 15 replays in a 50 s run.
+constexpr double kOffersPerProsumerDay = 1.5;
 constexpr int kSchedulerIterations = 1024;
 constexpr int kTrainEvals = 2000;
 constexpr node::NodeId kTsoId = 1;
@@ -94,7 +97,7 @@ class Hierarchy : public Workload {
         pc.id = 1000 + static_cast<node::NodeId>(b) * 1000 +
                 static_cast<node::NodeId>(p);
         pc.brp = brp_config.id;
-        pc.offers_per_day = 3.0;
+        pc.offers_per_day = kOffersPerProsumerDay;
         pc.seed = seed_ * 31 + static_cast<uint64_t>(b) * 997 +
                   static_cast<uint64_t>(p);
         prosumers.push_back(std::make_unique<node::ProsumerNode>(pc, &bus));
@@ -107,13 +110,24 @@ class Hierarchy : public Workload {
       bus.AdvanceTo(now);
     };
     std::vector<int64_t> accepted_before(brps.size(), 0);
-    int64_t previous_due_ns = 0;
+    // The previous slice's time from its start to its end (ns).
+    int64_t previous_step_ns = 0;
 
+    HostSpeed speed;
     mirabel::Stopwatch timed;
     const TimeSlice end = static_cast<TimeSlice>(days_) * kSlicesPerDay;
-    // Wall time per slice of the bus, BRP and TSO phases.
+    // Time per slice of the bus, BRP and TSO phases: wall (ns) and scaled
+    // (ms).
+    std::vector<int64_t> control_ns(static_cast<size_t>(end), 0);
     std::vector<double> control_ms(static_cast<size_t>(end), 0.0);
     for (TimeSlice now = 0; now < end; ++now) {
+      // The slices of a gate cycle take their scale from a probe right
+      // before them.
+      if (now % kGatePeriod < kGateCycle) {
+        speed.Sample();
+      } else {
+        speed.MaybeSample();
+      }
       const int64_t due_ns = trace::NowNs();
       {
         trace::Scope span(trace::Kind::kProsumerTick, now);
@@ -130,8 +144,8 @@ class Hierarchy : public Workload {
         // the BRP admits a tick's offers in this call.
         const int64_t accepted = brps[b]->stats().offers_accepted;
         if (accepted > accepted_before[b]) {
-          const double ms =
-              static_cast<double>(trace::NowNs() - previous_due_ns) * 1e-6;
+          const double ms = speed.ScaledMs(previous_step_ns +
+                                           trace::NowNs() - due_ns);
           r.accept_ms.insert(r.accept_ms.end(),
                              static_cast<size_t>(accepted - accepted_before[b]),
                              ms);
@@ -139,16 +153,19 @@ class Hierarchy : public Workload {
         }
       }
       bus_advance(now);
-      if (now >= kTsoFirstTick) {
+      {
         trace::Scope span(trace::Kind::kTsoTick, now);
         tso.OnTick(now);
       }
       bus_advance(now);
+      const int64_t step_end = trace::NowNs();
+      control_ns[static_cast<size_t>(now)] = step_end - control_start;
       control_ms[static_cast<size_t>(now)] =
-          static_cast<double>(trace::NowNs() - control_start) * 1e-6;
-      previous_due_ns = due_ns;
-      r.step_ms.push_back(static_cast<double>(trace::NowNs() - due_ns) * 1e-6);
+          speed.ScaledMs(step_end - control_start);
+      previous_step_ns = step_end - due_ns;
+      r.step_ms.push_back(speed.ScaledMs(previous_step_ns));
     }
+    speed.MaybeSample();
     const int64_t wind_down_start = trace::NowNs();
     // Wind-down, as EdmsSimulation::Run: deliver in-flight messages, give
     // prosumers two days to execute, flush without opening new gates, then
@@ -174,17 +191,18 @@ class Hierarchy : public Workload {
       settle += std::max<TimeSlice>(1, bus_config.latency_slices);
       bus_advance(settle);
     }
-    r.step_ms.push_back(static_cast<double>(trace::NowNs() - wind_down_start) *
-                        1e-6);
+    r.step_ms.push_back(speed.ScaledMs(trace::NowNs() - wind_down_start));
     r.timed_s = timed.ElapsedSeconds();
+    r.probe_ms = speed.MedianProbeMs();
     // A gate's time: everything but the prosumers over its gate cycle.
     for (TimeSlice g = 0; g + kGateCycle <= end; g += kGatePeriod) {
       double ms = 0.0;
       for (TimeSlice s = g; s < g + kGateCycle; ++s) {
         ms += control_ms[static_cast<size_t>(s)];
+        r.gate_busy_s +=
+            static_cast<double>(control_ns[static_cast<size_t>(s)]) * 1e-9;
       }
       r.gate_ms.push_back(ms);
-      r.gate_busy_s += ms * 1e-3;
     }
 
     Check(prosumers, brps, tso, bus, &r);

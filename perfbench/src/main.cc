@@ -1,6 +1,6 @@
 // The EDMS benchmark command.
 //
-//   edms_perfbench --workload <brp_rolling|intake_stream|hierarchy_3level>
+//   edms_perfbench --workload <brp_rolling|hierarchy_3level>
 //                  --seed <n> --seconds <s> --trace <0|1> [--short]
 //                  [--source <id>]
 //
@@ -44,7 +44,7 @@ struct Args {
 [[noreturn]] void Usage(const char* message) {
   std::fprintf(stderr,
                "edms_perfbench: %s\nusage: edms_perfbench --workload "
-               "<brp_rolling|intake_stream|hierarchy_3level> --seed <n> "
+               "<brp_rolling|hierarchy_3level> --seed <n> "
                "--seconds <s> --trace <0|1> [--short] [--source <id>]\n",
                message);
   std::exit(2);
@@ -78,11 +78,31 @@ Args ParseArgs(int argc, char** argv) {
   return args;
 }
 
-int Nproc() {
+/// The CPUs this process may run on.
+std::vector<int> AllowedCpus() {
   cpu_set_t set;
   CPU_ZERO(&set);
-  if (sched_getaffinity(0, sizeof(set), &set) != 0) return 1;
-  return CPU_COUNT(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) != 0) return {0};
+  std::vector<int> cpus;
+  for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+    if (CPU_ISSET(cpu, &set)) cpus.push_back(cpu);
+  }
+  return cpus;
+}
+
+/// Pins the calling thread, which runs the single-threaded rounds, to `cpu`.
+///
+/// On a shared host, one CPU can run a workload 1.5x slower than another for
+/// minutes (measured: one round of hierarchy_3level per CPU, twice over,
+/// gave gate p50 9-11 ms on one CPU and 14-16 ms on two others). A process
+/// that stays on a slow CPU then reads slow for the whole run, whichever
+/// step's fastest replay it takes. The rounds therefore take the CPUs in
+/// turn, so each step's replays include the fastest CPU's.
+void PinTo(int cpu) {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  CPU_SET(cpu, &set);
+  sched_setaffinity(0, sizeof(set), &set);
 }
 
 std::string CpuModel() {
@@ -122,11 +142,12 @@ struct Metric {
 /// timing, NaN entries (offers never accepted) dropped.
 ///
 /// Every round replays the same work, so entry i times the same gate, offer
-/// or step in each round. Host-side interference on a shared machine slows
-/// whole stretches of a run by up to 1.6x for seconds at a time; taking each
-/// entry's fastest replay filters those stretches out unless they hit the
-/// same entry in every round. A change that slows the program slows every
-/// replay, so it still shows.
+/// or step in each round. The workloads already scale each entry by the
+/// host's speed (host_speed.h); the scale is read between steps, so it
+/// misses interference that starts or stops within one. Taking each entry's
+/// fastest replay filters that out unless it hits the same entry in every
+/// round. A change that slows the program slows every replay, so it still
+/// shows.
 std::vector<double> FastestReplay(const std::vector<RoundResult>& rounds,
                                   std::vector<double> RoundResult::*field) {
   std::vector<double> best = rounds.front().*field;
@@ -223,17 +244,11 @@ std::vector<Metric> PerLayer(const std::vector<RoundResult>& untraced,
       {"edms.gate_self_ms_p90", "ms", Percentile(spans.SelfOf(Kind::kGate), 0.9)},
       {"edms.meter_s_total", "s", per_round_s(Kind::kMeter)},
       {"edms.poll_s_total", "s", per_round_s(Kind::kPoll)},
-      {"edms.strand_busy_s", "s", counter("edms.strand_busy_s")},
-      {"edms.queue_wait_ms_max", "ms", counter("edms.queue_wait_ms_max")},
-      {"edms.intake_depth_peak_batches", "batches",
-       counter("edms.intake_depth_peak_batches")},
-      {"edms.pool_steals", "count", counter("edms.pool_steals")},
   };
   for (const char* name :
        {"edms.offers_received", "edms.accepted", "edms.rejected",
         "edms.expired_in_pipeline", "edms.executions_timed_out",
-        "edms.executed", "edms.shed", "edms.macros_scheduled",
-        "edms.scheduling_runs"}) {
+        "edms.executed", "edms.macros_scheduled", "edms.scheduling_runs"}) {
     out.push_back({name, "count", counter(name)});
   }
   std::vector<Metric> rest = {
@@ -241,8 +256,6 @@ std::vector<Metric> PerLayer(const std::vector<RoundResult>& untraced,
        counter("aggregation.compression_ratio")},
       {"aggregation.live_aggregates_peak", "count",
        counter("aggregation.live_aggregates_peak")},
-      {"aggregation.flex_loss_slices", "slices",
-       counter("aggregation.flex_loss_slices")},
       {"negotiation.accept_pct", "%", counter("negotiation.accept_pct")},
       {"storage.flex_offer_rows_end", "count",
        counter("storage.flex_offer_rows_end")},
@@ -259,8 +272,6 @@ std::vector<Metric> PerLayer(const std::vector<RoundResult>& untraced,
       {"node.transport_retries", "count", counter("node.transport_retries")},
       {"node.transport_acks", "count", counter("node.transport_acks")},
       {"node.duplicates_dropped", "count", counter("node.duplicates_dropped")},
-      {"driver.generator_lag_ms_p99", "ms",
-       counter("driver.generator_lag_ms_p99")},
       {"trace.overhead_pct", "%",
        plain > 0.0 ? 100.0 * (plain - with_trace) / plain : 0.0},
   };
@@ -277,15 +288,14 @@ int Main(int argc, char** argv) {
   std::unique_ptr<Workload> workload;
   if (args.workload == "brp_rolling") {
     workload = MakeBrpRolling(options);
-  } else if (args.workload == "intake_stream") {
-    workload = MakeIntakeStream(options);
   } else if (args.workload == "hierarchy_3level") {
     workload = MakeHierarchy(options);
   } else {
     Usage(("unknown workload " + args.workload).c_str());
   }
 
-  const int nproc = Nproc();
+  const std::vector<int> cpus = AllowedCpus();
+  const int nproc = static_cast<int>(cpus.size());
   if (workload->Threads() > nproc) {
     std::fprintf(stderr,
                  "edms_perfbench: %s runs %d threads but only %d CPUs are "
@@ -313,21 +323,29 @@ int Main(int argc, char** argv) {
   mirabel::Stopwatch run;
   for (int round = 0;; ++round) {
     const bool traced_round = args.trace && round % 2 == 0 && round > 0;
+    // A traced run gives each untraced/traced pair of rounds one CPU, so the
+    // tracing overhead compares replays on the same CPUs. Threads a round
+    // starts would inherit the pin, so only single-threaded rounds are
+    // pinned.
+    const int turn = args.trace ? (round + 1) / 2 : round;
+    if (workload->Threads() == 1) {
+      PinTo(cpus[static_cast<size_t>(turn) % cpus.size()]);
+    }
     trace::SetEnabled(traced_round);
     RoundResult r = workload->RunRound();
     trace::SetEnabled(false);
     std::fprintf(stderr,
-                 "round %d%s: setup %.3fs timed %.3fs gates %zu p50 %.3fms "
-                 "accept p90 %.3fms %s\n",
-                 round, traced_round ? " (traced)" : "", r.setup_s, r.timed_s,
+                 "round %d%s on cpu %d: setup %.3fs timed %.3fs probe %.4fms "
+                 "gates %zu p50 %.3fms accept p90 %.3fms %s\n",
+                 round, traced_round ? " (traced)" : "", sched_getcpu(),
+                 r.setup_s, r.timed_s, r.probe_ms,
                  r.gate_ms.size(), Percentile(r.gate_ms, 0.5),
                  Percentile(r.accept_ms, 0.90),
                  r.fingerprint.ToString().c_str());
     (round == 0 ? warmup : traced_round ? traced : untraced)
         .push_back(std::move(r));
-    // Process peak after the inputs and one whole round: later rounds
-    // rebuild the runtime on new threads, whose allocator arenas would make
-    // the peak depend on how many rounds ran.
+    // Process peak after the inputs and one whole round, so that it does not
+    // depend on how many rounds ran.
     if (round == 0) peak_rss_mb = PeakRssMb();
     const bool enough_rounds =
         untraced.size() >= 2 && (!args.trace || !traced.empty());

@@ -17,9 +17,8 @@ struct ThreadBuffer {
 
 std::atomic<bool> g_enabled{false};
 
-/// Owns every buffer ever created. Buffers outlive their threads (pool
-/// workers exit when a round's runtime is torn down) so that Collect() can
-/// still read them; a thread only ever touches its own buffer.
+/// Owns every buffer ever created. Buffers outlive their threads so that
+/// Collect() can still read them; a thread only ever touches its own buffer.
 std::mutex g_registry_mu;
 std::vector<std::unique_ptr<ThreadBuffer>> g_registry;
 

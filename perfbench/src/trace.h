@@ -19,7 +19,7 @@ namespace perfbench::trace {
 /// The span names. Each is "<module>.<call>".
 enum class Kind : uint8_t {
   kSubmit,        // edms: EdmsEngine::SubmitOffers
-  kGate,          // edms: EdmsEngine/ShardedEdmsRuntime::Advance
+  kGate,          // edms: EdmsEngine::Advance
   kMeter,         // edms: execution metering calls
   kPoll,          // edms: PollEvents
   kSchedule,      // scheduling: Scheduler::RunCompiled
