@@ -15,15 +15,7 @@
 // Emits BENCH_scheduler_kernel.json with evaluations/sec per path and size
 // plus the kernel/reference speedups (acceptance: >= 3x child-evaluate,
 // >= 1.5x trymove-scan in a Release build).
-//
-// The fast_math kernel adds two legs measured against the exact kernel:
-//   fast/child_evaluate: delta-replay of EA-shaped children (~10% mutated
-//     genes against a shared base) vs pooled EvaluateInto of the same
-//     children (acceptance: >= 2x in a Release build).
-//   fast/scan: the segmented branchless TryMoveWithEnergiesFast probe vs
-//     TryMoveWithEnergies over the same candidate scan.
 #include <cstdio>
-#include <cstdlib>
 #include <span>
 #include <vector>
 
@@ -110,63 +102,6 @@ PathResult ChildEvaluateKernel(const SchedulingProblem& p,
   return r;
 }
 
-/// EA-shaped children for the fast_math delta-replay leg: each child is the
-/// base schedule with a handful of genes replaced — the converged-generation
-/// workload delta replay is built for, where per-child work scales with the
-/// touched slices, not the horizon. (The EA itself measures each diff and
-/// falls back to a full pass when replay would touch more slices than the
-/// full sweep, so unconverged generations cost the same as exact mode.)
-std::vector<Schedule> MutatedChildren(const SchedulingProblem& p,
-                                      const Schedule& base, int count,
-                                      uint64_t seed) {
-  Rng rng(seed);
-  const size_t mutations = std::max<size_t>(2, p.offers.size() / 64);
-  std::vector<Schedule> out;
-  out.reserve(static_cast<size_t>(count));
-  for (int i = 0; i < count; ++i) {
-    Schedule child = base;
-    for (size_t m = 0; m < mutations; ++m) {
-      size_t g = rng.Index(p.offers.size());
-      const auto& fo = p.offers[g];
-      child.assignments[g] = {
-          fo.earliest_start + rng.UniformInt(0, fo.TimeFlexibility()),
-          rng.NextDouble()};
-    }
-    out.push_back(std::move(child));
-  }
-  return out;
-}
-
-PathResult ChildEvaluateFastDelta(const SchedulingProblem& p,
-                                  const Schedule& base,
-                                  const std::vector<Schedule>& children,
-                                  int reps) {
-  CompiledProblem cp(p);
-  ScheduleWorkspace ws(cp);
-  if (!ws.SetSchedule(cp, base).ok()) std::abort();
-  const double base_cost = ws.CachedCostTotal(cp);
-  ScheduleWorkspace::DeltaTrail trail;
-  trail.Reserve(cp);
-  PathResult r;
-  Stopwatch watch;
-  for (int rep = 0; rep < reps; ++rep) {
-    for (const Schedule& s : children) {
-      double cost = base_cost;
-      for (size_t g = 0; g < cp.num_offers; ++g) {
-        const OfferAssignment& a = s.assignments[g];
-        if (a.start != ws.start(g) || a.fill != ws.fill(g)) {
-          cost += ws.ApplyMoveDelta(cp, g, a.start, a.fill, &trail);
-        }
-      }
-      ws.RollbackDelta(&trail);
-      r.sink += cost;
-      r.evals += 1.0;
-    }
-  }
-  r.wall_s = watch.ElapsedSeconds();
-  return r;
-}
-
 /// One full greedy-style candidate scan over all offers: every start
 /// candidate (capped like GreedyScheduler) x every fill in {0, 0.5, 1}.
 constexpr int kMaxStartCandidates = 64;
@@ -196,8 +131,7 @@ PathResult TryMoveScanReference(const SchedulingProblem& p, int reps) {
   return r;
 }
 
-PathResult TryMoveScanKernel(const SchedulingProblem& p, int reps,
-                             bool fast = false) {
+PathResult TryMoveScanKernel(const SchedulingProblem& p, int reps) {
   CompiledProblem cp(p);
   ScheduleWorkspace ws(cp);
   const size_t dur_cap = static_cast<size_t>(cp.max_duration);
@@ -223,8 +157,7 @@ PathResult TryMoveScanKernel(const SchedulingProblem& p, int reps,
         for (size_t f = 0; f < num_fills; ++f) {
           std::span<const double> cur{e_cur.data(), dur};
           std::span<const double> cand{e_fill.data() + f * dur_cap, dur};
-          r.sink += fast ? ws.TryMoveWithEnergiesFast(cp, i, start, cur, cand)
-                         : ws.TryMoveWithEnergies(cp, i, start, cur, cand);
+          r.sink += ws.TryMoveWithEnergies(cp, i, start, cur, cand);
           r.evals += 1.0;
         }
       }
@@ -256,7 +189,6 @@ int main() {
   bench::BenchReport report("scheduler_kernel");
   report.AddConfig("small_mode", small);
   report.AddConfig("trials", static_cast<int64_t>(trials));
-  report.AddConfig("fast_avx2", FastKernelUsesAvx2());
 
   struct Size {
     int offers;
@@ -307,40 +239,6 @@ int main() {
         .Wall(ker_scan.wall_s)
         .Items(ker_scan.evals)
         .Metric("speedup_vs_ref", scan_speedup);
-
-    // fast_math legs, measured against the *exact kernel* (not the
-    // reference): delta-replay of EA-shaped children vs pooled
-    // EvaluateInto of the same children, and the segmented branchless
-    // probe scan vs TryMoveWithEnergies.
-    std::vector<Schedule> children =
-        MutatedChildren(problem, schedules[0], small ? 8 : 64, 131);
-    PathResult exact_child = BestOf(trials, [&] {
-      return ChildEvaluateKernel(problem, children, size.child_reps);
-    });
-    PathResult fast_child = BestOf(trials, [&] {
-      return ChildEvaluateFastDelta(problem, schedules[0], children,
-                                    size.child_reps);
-    });
-    double fast_child_speedup = fast_child.per_sec() / exact_child.per_sec();
-    std::printf("%-8d %-16s %14.0f %14.0f %7.2fx\n", size.offers,
-                "fast-child", exact_child.per_sec(), fast_child.per_sec(),
-                fast_child_speedup);
-    report.AddResult("fast/child_evaluate/" + std::to_string(size.offers))
-        .Wall(fast_child.wall_s)
-        .Items(fast_child.evals)
-        .Metric("speedup_vs_kernel", fast_child_speedup);
-
-    PathResult fast_scan = BestOf(trials, [&] {
-      return TryMoveScanKernel(problem, size.scan_reps, /*fast=*/true);
-    });
-    double fast_scan_speedup = fast_scan.per_sec() / ker_scan.per_sec();
-    std::printf("%-8d %-16s %14.0f %14.0f %7.2fx\n", size.offers,
-                "fast-scan", ker_scan.per_sec(), fast_scan.per_sec(),
-                fast_scan_speedup);
-    report.AddResult("fast/scan/" + std::to_string(size.offers))
-        .Wall(fast_scan.wall_s)
-        .Items(fast_scan.evals)
-        .Metric("speedup_vs_kernel", fast_scan_speedup);
   }
 
   report.WriteFile();

@@ -38,6 +38,9 @@ Status FlexOffer::Validate() const {
                                      " has non-finite energy bound");
     }
   }
+  if (!std::isfinite(unit_price_eur)) {
+    return Status::InvalidArgument("unit price is not finite");
+  }
   if (earliest_start > latest_start) {
     return Status::InvalidArgument("earliest_start > latest_start");
   }
@@ -82,6 +85,11 @@ Status ScheduledFlexOffer::ValidateAgainst(const FlexOffer& offer) const {
     return Status::InvalidArgument("schedule slice count mismatch");
   }
   for (size_t i = 0; i < energies_kwh.size(); ++i) {
+    // NaN fails both band comparisons below, so reject it explicitly.
+    if (!std::isfinite(energies_kwh[i])) {
+      return Status::InvalidArgument(
+          "scheduled energy is not finite at slice " + std::to_string(i));
+    }
     if (energies_kwh[i] < offer.profile[i].min_kwh - kTol ||
         energies_kwh[i] > offer.profile[i].max_kwh + kTol) {
       return Status::OutOfRange("scheduled energy outside band at slice " +

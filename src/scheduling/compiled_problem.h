@@ -80,44 +80,9 @@ struct CompiledProblem {
 /// (for the usual price ordering sell <= buy <= penalty).
 double SliceResidualCost(const CompiledProblem& cp, size_t s, double residual);
 
-/// Branch-free form of SliceResidualCost, the per-slice primitive of the
-/// fast kernel (SchedulerOptions::fast_math): the three residual branches
-/// are folded into max/min/select arithmetic so the sweep loops vectorize.
-/// Value-equal to SliceResidualCost for every input (the folded branches
-/// only ever add exact zeros); the fast paths still differ from the exact
-/// ones in *accumulation* order, never per slice.
-inline double SliceResidualCostBranchless(double residual, double penalty,
-                                          double buy_price, double sell_price,
-                                          double max_buy_kwh,
-                                          double max_sell_kwh) {
-  const double pos = residual > 0.0 ? residual : 0.0;
-  const double neg = residual < 0.0 ? -residual : 0.0;
-  const double bought =
-      buy_price < penalty ? (pos < max_buy_kwh ? pos : max_buy_kwh) : 0.0;
-  const double sold =
-      sell_price >= 0.0 ? (neg < max_sell_kwh ? neg : max_sell_kwh) : 0.0;
-  return (bought * buy_price - sold * sell_price) +
-         (pos - bought + neg - sold) * penalty;
-}
-
-inline double SliceResidualCostFast(const CompiledProblem& cp, size_t s,
-                                    double residual) {
-  return SliceResidualCostBranchless(residual, cp.penalty_eur[s],
-                                     cp.buy_price_eur[s], cp.sell_price_eur[s],
-                                     cp.max_buy_kwh, cp.max_sell_kwh);
-}
-
-/// Prices every residual in `net[0..n)` and returns the summed slice cost
-/// (imbalance + market) using split accumulators, dispatched at runtime to
-/// an AVX2+FMA sweep on x86-64 hosts that support it. fast_math only: the
-/// split accumulation (and FMA contraction on the AVX2 path) changes the
-/// float summation order versus the exact serial sweep.
-double FastResidualSweep(const CompiledProblem& cp, const double* net,
-                         size_t n);
-
-/// True when FastResidualSweep dispatches to the AVX2+FMA path on this host
-/// (reported by the bench so speedups are attributable).
-bool FastKernelUsesAvx2();
+/// Always false: the kernel has no ISA-dispatched code path. The
+/// benchmark's run record (perfbench/src/main.cc) still reports it.
+inline bool FastKernelUsesAvx2() { return false; }
 
 /// The mutable half of the kernel: one candidate schedule plus every derived
 /// quantity the cost model needs, with all buffers allocated up front so the
@@ -163,72 +128,6 @@ class ScheduleWorkspace {
   Result<double> EvaluateInto(const CompiledProblem& cp,
                               const Schedule& schedule);
 
-  /// fast_math variant of EvaluateInto: same validation and state
-  /// replacement, but the net-load accumulation uses per-offer split
-  /// activation accumulators and the residual sweep runs through
-  /// FastResidualSweep (vectorized, AVX2-dispatched). Within 1e-9 relative
-  /// of EvaluateInto; never bit-identical to it by contract.
-  Result<double> EvaluateIntoFast(const CompiledProblem& cp,
-                                  const Schedule& schedule);
-
-  /// Value trail for delta-replay child evaluation (fast_math): every slice
-  /// and gene a replayed diff touches is snapshotted *by value*, so
-  /// RollbackDelta restores the workspace bit-identically no matter what
-  /// floating-point path the moves took (the same path-independence trick
-  /// the branch-and-bound scheduler's bound trail uses). Reserve() sizes the
-  /// buffers so a diff touching every offer replays without allocating.
-  class DeltaTrail {
-   public:
-    void Reserve(const CompiledProblem& cp) {
-      moves_.reserve(cp.num_offers);
-      slices_.reserve(2 * cp.num_offers *
-                      static_cast<size_t>(cp.max_duration));
-    }
-    bool empty() const { return moves_.empty() && slices_.empty(); }
-
-   private:
-    friend class ScheduleWorkspace;
-    struct SliceSave {
-      size_t slice;
-      double net_kwh;
-      double cost_eur;
-    };
-    struct MoveSave {
-      size_t offer;
-      flexoffer::TimeSlice start;
-      double fill;
-      double activation_eur;
-    };
-    std::vector<SliceSave> slices_;
-    std::vector<MoveSave> moves_;
-  };
-
-  /// Applies one feasible move of a child diff and returns its total-cost
-  /// delta (slice costs via the branchless fast form + activation), pushing
-  /// value snapshots of everything it touches onto `trail`. Per-move work
-  /// is O(duration[i]), independent of the horizon length — the whole
-  /// point of delta-replay child evaluation: a child's cost is
-  /// CachedCostTotal() of the synced base plus the sum of its diff's deltas.
-  ///
-  /// Contract (fast_math): the slice-cost caches must be fresh when the
-  /// first move of a diff is applied (sync the base via SetSchedule /
-  /// SetAssignmentsUnchecked); between the first ApplyMoveDelta and the
-  /// closing RollbackDelta only further ApplyMoveDelta calls and the plain
-  /// accessors may run — slice_imbalance/market caches are deliberately left
-  /// at their base values and would be read stale by Cost().
-  double ApplyMoveDelta(const CompiledProblem& cp, size_t i,
-                        flexoffer::TimeSlice start, double fill,
-                        DeltaTrail* trail);
-
-  /// Restores every value `trail` recorded, in reverse, and clears it. The
-  /// workspace is bit-identical to its pre-diff state afterwards.
-  void RollbackDelta(DeltaTrail* trail);
-
-  /// Total cost summed from the cached per-slice costs (refreshing them if
-  /// stale): flex_activation + sum(slice_cost). This is the delta-replay
-  /// base cost. fast_math only — the summation order differs from Cost().
-  double CachedCostTotal(const CompiledProblem& cp) const;
-
   /// Cost delta of moving offer `i` to (start, fill), leaving state
   /// untouched. The candidate must be feasible (validated by the caller /
   /// candidate generator). Computes both energy vectors into scratch.
@@ -244,17 +143,6 @@ class ScheduleWorkspace {
                              flexoffer::TimeSlice start,
                              std::span<const double> e_cur,
                              std::span<const double> e_new) const;
-
-  /// fast_math variant of TryMoveWithEnergies: instead of walking the whole
-  /// [min(start), max(start) + dur) union with two in-range branches per
-  /// slice, the footprint is split into old-only / overlap / new-only
-  /// segments of branch-free inner loops over the branchless slice cost,
-  /// and the slice / activation deltas use split accumulators. Within 1e-9
-  /// relative of TryMoveWithEnergies.
-  double TryMoveWithEnergiesFast(const CompiledProblem& cp, size_t i,
-                                 flexoffer::TimeSlice start,
-                                 std::span<const double> e_cur,
-                                 std::span<const double> e_new) const;
 
   /// Applies a feasible move and refreshes the touched slice caches.
   void ApplyMove(const CompiledProblem& cp, size_t i,

@@ -74,7 +74,6 @@ Result<SchedulingResult> GreedyScheduler::RunCompiled(
     const CompiledProblem& cp, const SchedulerOptions& options) {
   Stopwatch watch;
   Rng rng(options.seed);
-  const bool fast = options.fast_math;
 
   ScheduleWorkspace ws(cp);  // starts on the default schedule
   SchedulingResult result;
@@ -141,18 +140,12 @@ Result<SchedulingResult> GreedyScheduler::RunCompiled(
       // Same candidate order as the pre-kernel scan (starts outer, fills
       // inner) so tie-breaking — first candidate past the 1e-12 margin wins
       // — is unchanged. The energy vectors above are computed once per
-      // (offer, fill) and reused across every start. fast_math swaps the
-      // per-candidate probe for the segmented branchless variant (same
-      // slices charged, split accumulation) — deltas then agree with the
-      // exact scan within float noise rather than bitwise, so near-tie
-      // candidates may resolve differently.
+      // (offer, fill) and reused across every start.
       for (TimeSlice start : candidates.of(index)) {
         for (size_t f = 0; f < num_fills; ++f) {
           std::span<const double> e_new{e_fill.data() + f * dur_cap,
                                         static_cast<size_t>(dur)};
-          double delta =
-              fast ? ws.TryMoveWithEnergiesFast(cp, index, start, cur, e_new)
-                   : ws.TryMoveWithEnergies(cp, index, start, cur, e_new);
+          double delta = ws.TryMoveWithEnergies(cp, index, start, cur, e_new);
           if (delta < best_delta - 1e-12) {
             best_delta = delta;
             best_start = start;

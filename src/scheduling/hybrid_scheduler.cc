@@ -20,7 +20,7 @@ Result<SchedulingResult> HybridScheduler::RunCompiled(
     const CompiledProblem& compiled, const SchedulerOptions& options) {
   Stopwatch watch;
 
-  // Phase 1: one fast greedy construction seeds the population.
+  // Phase 1: a greedy construction on a share of the budget.
   GreedyScheduler greedy;
   SchedulerOptions greedy_options = options;
   if (options.time_budget_s > 0) {
@@ -35,10 +35,9 @@ Result<SchedulingResult> HybridScheduler::RunCompiled(
   MIRABEL_ASSIGN_OR_RETURN(SchedulingResult constructed,
                            greedy.RunCompiled(compiled, greedy_options));
 
-  // Phase 2: evolutionary refinement seeded with the greedy incumbent. The
-  // EA's population initialisation already includes the all-earliest
-  // baseline; we splice the greedy schedule in by evolving a copy of the
-  // problem through a custom-seeded EA run.
+  // Phase 2: an independent EA run (seed + 1) on the rest of the budget. It
+  // does not start from the greedy schedule: its initial population is the
+  // all-earliest baseline plus random schedules, as in any EA run.
   EvolutionaryScheduler::Config ea_config = config_.evolution;
   EvolutionaryScheduler ea(ea_config);
   SchedulerOptions ea_options = options;
@@ -59,7 +58,7 @@ Result<SchedulingResult> HybridScheduler::RunCompiled(
   MIRABEL_ASSIGN_OR_RETURN(SchedulingResult refined,
                            ea.RunCompiled(compiled, ea_options));
 
-  // Keep whichever schedule is better; stitch the traces together.
+  // Keep the cheaper of the two results; stitch the traces together.
   SchedulingResult result;
   result.iterations = constructed.iterations + refined.iterations;
   if (refined.cost.total() < constructed.cost.total()) {

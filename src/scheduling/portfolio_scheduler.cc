@@ -26,20 +26,14 @@ Result<SchedulingResult> PortfolioScheduler::RunCompiled(
 
   std::vector<Member> members = config_.members;
   if (members.empty()) {
-    // Default portfolio. Under a fast_math race the anytime members inherit
-    // the fast kernel while BranchAndBound is pinned exact (its warm start
-    // seeds the incumbent bound, which is only sound on the exact kernel);
-    // with fast_math off the overrides are no-ops.
-    members.push_back({"", [] { return std::make_unique<GreedyScheduler>(); },
-                       std::nullopt});
     members.push_back(
-        {"", [] { return std::make_unique<EvolutionaryScheduler>(); },
-         std::nullopt});
-    members.push_back({"", [] { return std::make_unique<HybridScheduler>(); },
-                       std::nullopt});
+        {"", [] { return std::make_unique<GreedyScheduler>(); }});
     members.push_back(
-        {"", [] { return std::make_unique<BranchAndBoundScheduler>(); },
-         false});
+        {"", [] { return std::make_unique<EvolutionaryScheduler>(); }});
+    members.push_back(
+        {"", [] { return std::make_unique<HybridScheduler>(); }});
+    members.push_back(
+        {"", [] { return std::make_unique<BranchAndBoundScheduler>(); }});
   }
   const size_t m = members.size();
 
@@ -68,8 +62,6 @@ Result<SchedulingResult> PortfolioScheduler::RunCompiled(
       SchedulerOptions member_opts = options;
       member_opts.time_budget_s = remaining;
       member_opts.seed = options.seed + rank;
-      member_opts.fast_math =
-          members[rank].fast_math.value_or(options.fast_math);
       slots[rank].emplace(scheduler->RunCompiled(cp, member_opts));
     });
   }

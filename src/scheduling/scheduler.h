@@ -20,19 +20,6 @@ struct SchedulerOptions {
   /// generations). <= 0: unlimited.
   int max_iterations = 0;
   uint64_t seed = 1;
-  /// Opt into the fast kernel: delta-replay EA child evaluation and the
-  /// vectorized (split-accumulator, AVX2-dispatched) slice sweeps. Fast-mode
-  /// costs agree with the default bit-exact kernel within 1e-9 relative —
-  /// never bitwise, because float summation order changes — so the anytime
-  /// schedulers may take different (equally feasible) search paths wherever
-  /// two candidates' costs differ by less than the float noise. Throughput
-  /// converts directly into schedule quality per budget, so an engine that
-  /// does not require bit-reproducibility should enable this. Exact-by-
-  /// construction schedulers (Exhaustive, BranchAndBound — their bound
-  /// soundness is proven against the exact kernel) ignore the flag; the
-  /// final SchedulingResult::cost is recomputed on the exact path in every
-  /// scheduler regardless.
-  bool fast_math = false;
 };
 
 /// One point of the cost-over-time convergence trace (Fig. 6 plots cost in
@@ -216,9 +203,10 @@ class ExhaustiveScheduler : public Scheduler {
 };
 
 /// Hybrid of the paper's two metaheuristics (§6 research directions:
-/// "hybridizing the existing ones to improve their efficiency"): a fast
+/// "hybridizing the existing ones to improve their efficiency"): a
 /// randomized-greedy construction consumes a small share of the budget, then
-/// an evolutionary refinement spends the rest; the better schedule wins.
+/// an independent EA run (not seeded with the greedy schedule) spends the
+/// rest; the cheaper of the two schedules wins.
 class HybridScheduler : public Scheduler {
  public:
   struct Config {

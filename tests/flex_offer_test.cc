@@ -102,6 +102,16 @@ TEST(FlexOfferTest, NonFiniteEnergyInvalid) {
   EXPECT_FALSE(fo.Validate().ok());
 }
 
+TEST(FlexOfferTest, NonFiniteUnitPriceInvalid) {
+  // Aggregation averages unit prices into the macro offer, so one NaN price
+  // would turn every scheduling cost of a gate into NaN.
+  FlexOffer fo = SampleOffer();
+  fo.unit_price_eur = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_EQ(fo.Validate().code(), StatusCode::kInvalidArgument);
+  fo.unit_price_eur = -std::numeric_limits<double>::infinity();
+  EXPECT_EQ(fo.Validate().code(), StatusCode::kInvalidArgument);
+}
+
 TEST(FlexOfferTest, ProductionOfferWithNegativeBandsValidates) {
   FlexOffer fo = FlexOfferBuilder(2)
                      .StartWindow(10, 12)
@@ -153,6 +163,14 @@ TEST(ScheduledFlexOfferTest, EnergyOutsideBandRejected) {
   ScheduledFlexOffer high{1, 90, {1.5, 0.5, 4.1}};
   EXPECT_FALSE(low.ValidateAgainst(SampleOffer()).ok());
   EXPECT_FALSE(high.ValidateAgainst(SampleOffer()).ok());
+}
+
+TEST(ScheduledFlexOfferTest, NonFiniteEnergyRejected) {
+  // NaN fails both band comparisons, so only an explicit check catches it.
+  ScheduledFlexOffer s{
+      1, 90, {1.5, std::numeric_limits<double>::quiet_NaN(), 3.0}};
+  EXPECT_EQ(s.ValidateAgainst(SampleOffer()).code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(ScheduledFlexOfferTest, SliceCountMismatchRejected) {

@@ -159,6 +159,18 @@ TEST(EvolutionarySchedulerTest, DegenerateConfigRejected) {
   EXPECT_FALSE(scheduler.Run(MakeScenario(scfg), IterBudget(5)).ok());
 }
 
+TEST(EvolutionarySchedulerTest, NegativeElitesRejected) {
+  // A negative elite count would hand std::partial_sort begin() - 1.
+  EvolutionaryScheduler::Config cfg;
+  cfg.elites = -1;
+  EvolutionaryScheduler scheduler(cfg);
+  ScenarioConfig scfg;
+  scfg.num_offers = 5;
+  auto run = scheduler.Run(MakeScenario(scfg), IterBudget(5));
+  ASSERT_FALSE(run.ok());
+  EXPECT_EQ(run.status().code(), StatusCode::kInvalidArgument);
+}
+
 TEST(ExhaustiveSchedulerTest, CountCombinations) {
   ScenarioConfig cfg;
   cfg.num_offers = 3;
