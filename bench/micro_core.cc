@@ -12,6 +12,7 @@
 #include "datagen/energy_series_generator.h"
 #include "datagen/flex_offer_generator.h"
 #include "forecasting/hwt_model.h"
+#include "scheduling/compiled_problem.h"
 #include "scheduling/scenario.h"
 #include "scheduling/scheduler.h"
 
@@ -127,15 +128,16 @@ void BM_TryMove(benchmark::State& state) {
   scheduling::ScenarioConfig cfg;
   cfg.num_offers = static_cast<int>(state.range(0));
   auto problem = scheduling::MakeScenario(cfg);
-  scheduling::CostEvaluator evaluator(problem);
+  scheduling::CompiledProblem compiled(problem);
+  scheduling::ScheduleWorkspace workspace(compiled);
   Rng rng(9);
   for (auto _ : state) {
     size_t i = rng.Index(problem.offers.size());
     const auto& fo = problem.offers[i];
-    scheduling::OfferAssignment candidate{
-        fo.earliest_start + rng.UniformInt(0, fo.TimeFlexibility()),
-        rng.NextDouble()};
-    benchmark::DoNotOptimize(evaluator.TryMove(i, candidate));
+    const flexoffer::TimeSlice start =
+        fo.earliest_start + rng.UniformInt(0, fo.TimeFlexibility());
+    const double fill = rng.NextDouble();
+    benchmark::DoNotOptimize(workspace.TryMove(compiled, i, start, fill));
   }
 }
 BENCHMARK(BM_TryMove)->Arg(100)->Arg(1000);
@@ -144,10 +146,12 @@ void BM_FullCostEval(benchmark::State& state) {
   scheduling::ScenarioConfig cfg;
   cfg.num_offers = static_cast<int>(state.range(0));
   auto problem = scheduling::MakeScenario(cfg);
-  scheduling::CostEvaluator evaluator(problem);
-  scheduling::Schedule schedule = evaluator.schedule();
+  scheduling::CompiledProblem compiled(problem);
+  scheduling::ScheduleWorkspace workspace(compiled);
+  scheduling::Schedule schedule;
+  workspace.ExportSchedule(&schedule);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(evaluator.EvaluateTotal(schedule));
+    benchmark::DoNotOptimize(workspace.EvaluateInto(compiled, schedule));
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }

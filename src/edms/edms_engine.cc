@@ -23,20 +23,19 @@ EngineStats& EngineStats::Merge(const EngineStats& other) {
   // Destructuring both sides pins the member count at compile time: adding a
   // field to EngineStats without extending these bindings fails to build.
   // The size guard additionally catches same-count layout changes.
-  static_assert(sizeof(EngineStats) == 29 * sizeof(int64_t),
+  static_assert(sizeof(EngineStats) == 28 * sizeof(int64_t),
                 "EngineStats layout changed: update Merge()");
   auto& [received, batches, accepted, rejected, runs, macros, micros, expired,
          executed, payments, imb_before, imb_after, cost, budget_saved,
          intake_errs, metering_fails, shed, dropped, macros_expired,
-         exec_timeouts, wins_greedy, wins_ea, wins_hybrid, wins_bnb, proven,
-         rob_runs, rob_evals, rob_expected, rob_cvar] = *this;
+         exec_timeouts, wins_greedy, wins_ea, wins_bnb, proven, rob_runs,
+         rob_evals, rob_expected, rob_cvar] = *this;
   const auto& [o_received, o_batches, o_accepted, o_rejected, o_runs, o_macros,
                o_micros, o_expired, o_executed, o_payments, o_imb_before,
                o_imb_after, o_cost, o_budget_saved, o_intake_errs,
                o_metering_fails, o_shed, o_dropped, o_macros_expired,
-               o_exec_timeouts, o_wins_greedy, o_wins_ea, o_wins_hybrid,
-               o_wins_bnb, o_proven, o_rob_runs, o_rob_evals, o_rob_expected,
-               o_rob_cvar] = other;
+               o_exec_timeouts, o_wins_greedy, o_wins_ea, o_wins_bnb, o_proven,
+               o_rob_runs, o_rob_evals, o_rob_expected, o_rob_cvar] = other;
   received += o_received;
   batches += o_batches;
   accepted += o_accepted;
@@ -59,7 +58,6 @@ EngineStats& EngineStats::Merge(const EngineStats& other) {
   exec_timeouts += o_exec_timeouts;
   wins_greedy += o_wins_greedy;
   wins_ea += o_wins_ea;
-  wins_hybrid += o_wins_hybrid;
   wins_bnb += o_wins_bnb;
   proven += o_proven;
   rob_runs += o_rob_runs;
@@ -381,10 +379,10 @@ Status EdmsEngine::ScheduleClaimed(
     scheduler = std::make_unique<scheduling::RobustScheduler>(
         std::move(robust_config));
   }
-  // One compile serves the whole gate: the scheduler run (all its restarts
-  // and, for Hybrid, both phases), the imbalance accounting and the
-  // macro-schedule export below. Validate() here preserves the check the
-  // schedulers' Run() entry points used to apply.
+  // One compile serves the whole gate: the scheduler run (all its restarts,
+  // every portfolio member and robust candidate), the imbalance accounting
+  // and the macro-schedule export below. Validate() here is the check
+  // Scheduler::Run() would apply.
   MIRABEL_RETURN_IF_ERROR(problem.Validate());
   scheduling::CompiledProblem compiled(problem);
   scheduling::SchedulerOptions options;
@@ -413,7 +411,6 @@ Status EdmsEngine::ScheduleClaimed(
     if (!member.won) continue;
     if (member.name == "GreedySearch") ++stats_.portfolio_wins_greedy;
     if (member.name == "EvolutionaryAlgorithm") ++stats_.portfolio_wins_ea;
-    if (member.name == "Hybrid") ++stats_.portfolio_wins_hybrid;
     if (member.name == "BranchAndBound") ++stats_.portfolio_wins_bnb;
   }
   for (const auto& agg : macros) {

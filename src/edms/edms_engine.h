@@ -76,7 +76,6 @@ struct EngineStats {
   /// was a PortfolioScheduler). Members with other names count nowhere.
   int64_t portfolio_wins_greedy = 0;
   int64_t portfolio_wins_ea = 0;
-  int64_t portfolio_wins_hybrid = 0;
   int64_t portfolio_wins_bnb = 0;
   /// Scheduling runs whose result was proved optimal over the start-slot
   /// search space (BranchAndBound directly, or a portfolio whose winner
@@ -159,8 +158,11 @@ class EdmsEngine {
     bool scale_budget_with_problem_size = true;
     /// Problem size (offers x horizon slices) that earns the full budget.
     double budget_reference_work = 32.0 * 96.0;
-    /// Iteration cap per scheduling run (0 = unlimited). Set this and a
-    /// non-positive time budget for bit-deterministic runs.
+    /// Iteration cap per scheduling run (<= 0: no cap). Set this and a
+    /// non-positive time budget for bit-deterministic runs. At least one of
+    /// the two limits must be set for the greedy and EA schedulers: with
+    /// neither, every gate fails with InvalidArgument and expires the
+    /// offers it claimed.
     int scheduler_max_iterations = 0;
     uint64_t seed = 5;
 

@@ -8,7 +8,7 @@
 #include <vector>
 
 #include "edms/worker_pool.h"
-#include "scheduling/portfolio_scheduler.h"
+#include "scheduling/executor.h"
 
 namespace mirabel::edms {
 
@@ -24,7 +24,7 @@ namespace mirabel::edms {
 /// nobody is left to run the members. EdmsEngine drives schedulers from its
 /// gate-close path (off-pool), which satisfies this; see
 /// tests/portfolio_scheduler_test.cc for the wiring.
-class WorkerPoolExecutor : public scheduling::PortfolioScheduler::Executor {
+class WorkerPoolExecutor : public scheduling::Executor {
  public:
   /// `pool` must outlive the executor and every RunAll call.
   explicit WorkerPoolExecutor(WorkerPool* pool) : pool_(pool) {}

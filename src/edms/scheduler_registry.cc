@@ -17,12 +17,6 @@ SchedulerRegistry& SchedulerRegistry::Default() {
     (void)r->Register("EvolutionaryAlgorithm", [] {
       return std::make_unique<scheduling::EvolutionaryScheduler>();
     });
-    (void)r->Register("Exhaustive", [] {
-      return std::make_unique<scheduling::ExhaustiveScheduler>();
-    });
-    (void)r->Register("Hybrid", [] {
-      return std::make_unique<scheduling::HybridScheduler>();
-    });
     (void)r->Register("BranchAndBound", [] {
       return std::make_unique<scheduling::BranchAndBoundScheduler>();
     });

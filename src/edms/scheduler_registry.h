@@ -25,10 +25,10 @@ using SchedulerFactory =
 /// string at every gate closure. Custom schedulers plug in via Register().
 class SchedulerRegistry {
  public:
-  /// The process-wide registry, preloaded with the paper's algorithms plus
-  /// the optimal-scheduling subsystem: "GreedySearch",
-  /// "EvolutionaryAlgorithm", "Exhaustive", "Hybrid", "BranchAndBound",
-  /// "Portfolio", "Robust".
+  /// The process-wide registry, preloaded with the paper's two
+  /// metaheuristics, the optimal search and the two wrappers that compose
+  /// other schedulers: "GreedySearch", "EvolutionaryAlgorithm",
+  /// "BranchAndBound", "Portfolio", "Robust".
   static SchedulerRegistry& Default();
 
   /// Registers `factory` under `name`; AlreadyExists on duplicates.

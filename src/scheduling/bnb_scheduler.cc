@@ -256,13 +256,6 @@ BranchAndBoundScheduler::BranchAndBoundScheduler() : config_() {}
 BranchAndBoundScheduler::BranchAndBoundScheduler(const Config& config)
     : config_(config) {}
 
-Result<SchedulingResult> BranchAndBoundScheduler::Run(
-    const SchedulingProblem& problem, const SchedulerOptions& options) {
-  MIRABEL_RETURN_IF_ERROR(problem.Validate());
-  CompiledProblem cp(problem);
-  return RunCompiled(cp, options);
-}
-
 Result<SchedulingResult> BranchAndBoundScheduler::RunCompiled(
     const CompiledProblem& cp, const SchedulerOptions& options) {
   Stopwatch watch;

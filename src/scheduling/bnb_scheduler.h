@@ -153,12 +153,10 @@ class BranchAndBoundScheduler : public Scheduler {
   BranchAndBoundScheduler();
   explicit BranchAndBoundScheduler(const Config& config);
   std::string Name() const override { return "BranchAndBound"; }
-  Result<SchedulingResult> Run(const SchedulingProblem& problem,
-                               const SchedulerOptions& options) override;
-
-  /// Runs on an already-compiled problem; see GreedyScheduler::RunCompiled.
   /// `options.max_iterations` (when > 0) caps expanded search nodes after
   /// the warm start's share, keeping iteration-capped runs deterministic.
+  /// Unbounded() options give the warm start one bounded pass and run the
+  /// search to proven optimality.
   Result<SchedulingResult> RunCompiled(
       const CompiledProblem& compiled,
       const SchedulerOptions& options) override;

@@ -26,14 +26,15 @@ namespace mirabel::scheduling {
 ///
 /// The slice energy of offer i at profile position j under fill level f is
 ///   min_kwh[profile_offset[i] + j] + f * flex_kwh[profile_offset[i] + j]
-/// — bit-identical to CostEvaluator::SliceEnergy on the source offer.
+/// — bit-identical to ReferenceCostEvaluator::SliceEnergy on the source
+/// offer.
 ///
-/// The source problem must outlive the compiled form (offer ids and the
-/// compatibility accessors still read it).
+/// The source problem must outlive the compiled form
+/// (ScheduleWorkspace::ExportScheduledOffers reads its offer ids).
 struct CompiledProblem {
   CompiledProblem() = default;
   /// Compiles `problem`, which must outlive this object and must already be
-  /// Validate()d (same precondition the CostEvaluator always had).
+  /// Validate()d.
   explicit CompiledProblem(const SchedulingProblem& problem);
 
   flexoffer::TimeSlice horizon_start = 0;
@@ -99,7 +100,7 @@ inline bool FastKernelUsesAvx2() { return false; }
 /// Cost() is a branch-free sum and TryMove charges each touched slice's
 /// *current* cost from the cache instead of recomputing it per candidate.
 ///
-/// Every arithmetic expression matches the pre-kernel CostEvaluator term for
+/// Every arithmetic expression matches the pre-kernel evaluator term for
 /// term and in evaluation order, so schedules, costs and deltas are
 /// bit-identical to the pre-kernel implementation (the equivalence oracle in
 /// src/scheduling/reference_evaluator.h enforces this in tests).
@@ -112,8 +113,9 @@ class ScheduleWorkspace {
   /// Re-binds nothing; recomputes the default schedule from scratch.
   void ResetToDefault(const CompiledProblem& cp);
 
-  /// Replaces the schedule after validating it (OutOfRange like the shim's
-  /// SetSchedule); full single-pass recompute.
+  /// Replaces the schedule after validating it (InvalidArgument on a wrong
+  /// assignment count, OutOfRange on a start outside its window or a fill
+  /// outside [0, 1]); full single-pass recompute.
   Status SetSchedule(const CompiledProblem& cp, const Schedule& schedule);
 
   /// Replaces the schedule without validation; full single-pass recompute.

@@ -36,24 +36,21 @@ EvolutionaryScheduler::EvolutionaryScheduler()
 EvolutionaryScheduler::EvolutionaryScheduler(const Config& config)
     : config_(config) {}
 
-Result<SchedulingResult> EvolutionaryScheduler::Run(
-    const SchedulingProblem& problem, const SchedulerOptions& options) {
-  MIRABEL_RETURN_IF_ERROR(problem.Validate());
-  CompiledProblem compiled(problem);
-  return RunCompiled(compiled, options);
-}
-
 Result<SchedulingResult> EvolutionaryScheduler::RunCompiled(
     const CompiledProblem& cp, const SchedulerOptions& options) {
   if (config_.population_size < 2 || config_.elites < 0 ||
       config_.elites >= config_.population_size) {
     return Status::InvalidArgument("degenerate EA configuration");
   }
+  if (options.Unbounded()) {
+    return Status::InvalidArgument(
+        "evolutionary algorithm needs a time budget or an iteration cap");
+  }
   Stopwatch watch;
   Rng rng(options.seed);
   // One pooled workspace serves every child evaluation: EvaluateInto() is a
   // single fused validate+accumulate+sweep pass with zero allocations, where
-  // the pre-kernel path built a whole scratch CostEvaluator (two vector
+  // the pre-kernel path built a whole scratch evaluator (two vector
   // allocations plus a thrown-away default-schedule accumulation) per child
   // per generation.
   ScheduleWorkspace ws(cp);

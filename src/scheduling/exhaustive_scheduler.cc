@@ -10,8 +10,8 @@ ExhaustiveScheduler::ExhaustiveScheduler(uint64_t max_combinations)
 namespace {
 
 /// Saturating product step shared by both CountCombinations overloads, so
-/// the combination limit Run() documents and the one RunCompiled() enforces
-/// cannot drift apart.
+/// the count callers see on the source problem and the limit RunCompiled()
+/// enforces cannot drift apart.
 uint64_t AccumulateCombos(uint64_t combos, uint64_t window) {
   if (combos > UINT64_MAX / window) return UINT64_MAX;
   return combos * window;
@@ -41,17 +41,8 @@ uint64_t ExhaustiveScheduler::CountCombinations(const CompiledProblem& cp) {
   return combos;
 }
 
-Result<SchedulingResult> ExhaustiveScheduler::Run(
-    const SchedulingProblem& problem, const SchedulerOptions& options) {
-  MIRABEL_RETURN_IF_ERROR(problem.Validate());
-  CompiledProblem cp(problem);
-  return RunCompiled(cp, options);
-}
-
 Result<SchedulingResult> ExhaustiveScheduler::RunCompiled(
     const CompiledProblem& cp, const SchedulerOptions& options) {
-  // The combination guard lives with the enumeration so direct RunCompiled
-  // callers (EdmsEngine's shared per-gate compile) stay protected.
   uint64_t combos = CountCombinations(cp);
   if (combos > max_combinations_) {
     return Status::FailedPrecondition(

@@ -63,15 +63,12 @@ GreedyScheduler::GreedyScheduler() : GreedyScheduler(Config()) {}
 
 GreedyScheduler::GreedyScheduler(const Config& config) : config_(config) {}
 
-Result<SchedulingResult> GreedyScheduler::Run(const SchedulingProblem& problem,
-                                              const SchedulerOptions& options) {
-  MIRABEL_RETURN_IF_ERROR(problem.Validate());
-  CompiledProblem compiled(problem);
-  return RunCompiled(compiled, options);
-}
-
 Result<SchedulingResult> GreedyScheduler::RunCompiled(
     const CompiledProblem& cp, const SchedulerOptions& options) {
+  if (options.Unbounded()) {
+    return Status::InvalidArgument(
+        "greedy search needs a time budget or an iteration cap");
+  }
   Stopwatch watch;
   Rng rng(options.seed);
 

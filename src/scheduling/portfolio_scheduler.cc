@@ -13,13 +13,6 @@ PortfolioScheduler::PortfolioScheduler() : config_() {}
 PortfolioScheduler::PortfolioScheduler(Config config)
     : config_(std::move(config)) {}
 
-Result<SchedulingResult> PortfolioScheduler::Run(
-    const SchedulingProblem& problem, const SchedulerOptions& options) {
-  MIRABEL_RETURN_IF_ERROR(problem.Validate());
-  CompiledProblem cp(problem);
-  return RunCompiled(cp, options);
-}
-
 Result<SchedulingResult> PortfolioScheduler::RunCompiled(
     const CompiledProblem& cp, const SchedulerOptions& options) {
   Stopwatch watch;
@@ -30,8 +23,6 @@ Result<SchedulingResult> PortfolioScheduler::RunCompiled(
         {"", [] { return std::make_unique<GreedyScheduler>(); }});
     members.push_back(
         {"", [] { return std::make_unique<EvolutionaryScheduler>(); }});
-    members.push_back(
-        {"", [] { return std::make_unique<HybridScheduler>(); }});
     members.push_back(
         {"", [] { return std::make_unique<BranchAndBoundScheduler>(); }});
   }

@@ -30,12 +30,6 @@ namespace mirabel::scheduling {
 /// strand per member; the default ThreadExecutor spawns plain threads).
 class PortfolioScheduler : public Scheduler {
  public:
-  /// The task-batch seam now lives in scheduling/executor.h (it is shared
-  /// with StochasticEvaluator); these aliases keep the historical nested
-  /// names working for executor implementations and tests.
-  using Executor = scheduling::Executor;
-  using ThreadExecutor = scheduling::ThreadExecutor;
-
   /// One racing member. `rank` is its index in Config::members: the seed
   /// offset and the tie-break priority (lower rank wins cost ties).
   struct Member {
@@ -49,7 +43,7 @@ class PortfolioScheduler : public Scheduler {
 
   struct Config {
     /// Empty resolves to the default portfolio: GreedySearch,
-    /// EvolutionaryAlgorithm, Hybrid, BranchAndBound (in rank order).
+    /// EvolutionaryAlgorithm, BranchAndBound (in rank order).
     std::vector<Member> members;
     /// Null resolves to a ThreadExecutor. NOTE: when this is an
     /// edms::WorkerPoolExecutor, Run/RunCompiled must not be invoked from
@@ -61,11 +55,7 @@ class PortfolioScheduler : public Scheduler {
   PortfolioScheduler();
   explicit PortfolioScheduler(Config config);
   std::string Name() const override { return "Portfolio"; }
-  Result<SchedulingResult> Run(const SchedulingProblem& problem,
-                               const SchedulerOptions& options) override;
-
-  /// Runs on an already-compiled problem shared (read-only) by all racing
-  /// members; see GreedyScheduler::RunCompiled.
+  /// All racing members share `compiled` read-only.
   Result<SchedulingResult> RunCompiled(
       const CompiledProblem& compiled,
       const SchedulerOptions& options) override;

@@ -1,5 +1,5 @@
-// The pre-kernel CostEvaluator implementation, preserved verbatim (modulo the
-// class name) as the kernel's equivalence oracle. See reference_evaluator.h.
+// The pre-kernel cost evaluator, preserved verbatim (modulo the class
+// name) as the kernel's equivalence oracle. See reference_evaluator.h.
 #include "scheduling/reference_evaluator.h"
 
 #include <cmath>

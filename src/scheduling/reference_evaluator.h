@@ -8,7 +8,7 @@
 
 namespace mirabel::scheduling {
 
-/// The pre-kernel CostEvaluator, kept verbatim as the equivalence oracle for
+/// The pre-kernel cost evaluator, kept verbatim as the equivalence oracle for
 /// the SoA scheduling kernel (CompiledProblem / ScheduleWorkspace) and as the
 /// honest "old path" baseline in bench/scheduler_kernel.cc. Everything the
 /// kernel computes — slice energies, per-slice market responses, move deltas,

@@ -10,13 +10,6 @@ RobustScheduler::RobustScheduler() : config_() {}
 
 RobustScheduler::RobustScheduler(Config config) : config_(std::move(config)) {}
 
-Result<SchedulingResult> RobustScheduler::Run(const SchedulingProblem& problem,
-                                              const SchedulerOptions& options) {
-  MIRABEL_RETURN_IF_ERROR(problem.Validate());
-  CompiledProblem cp(problem);
-  return RunCompiled(cp, options);
-}
-
 Result<SchedulingResult> RobustScheduler::RunCompiled(
     const CompiledProblem& cp, const SchedulerOptions& options) {
   auto make_inner = [this]() -> std::unique_ptr<Scheduler> {

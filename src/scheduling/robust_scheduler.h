@@ -58,9 +58,6 @@ class RobustScheduler : public Scheduler {
   explicit RobustScheduler(Config config);
   std::string Name() const override { return "Robust"; }
 
-  Result<SchedulingResult> Run(const SchedulingProblem& problem,
-                               const SchedulerOptions& options) override;
-
   /// Plans the candidates (budget split evenly across the serial candidate
   /// runs; seeds options.seed, +1, +2...), re-ranks them on the ensemble and
   /// returns the risk winner with its cost recomputed exactly on the base

@@ -13,13 +13,21 @@ namespace mirabel::scheduling {
 
 /// Budget of one scheduling run. The metaheuristics are anytime algorithms:
 /// they keep the best schedule found so far and stop on budget exhaustion.
+/// At least one of the two limits must be set: greedy and EA reject
+/// options that set neither with InvalidArgument, because they would never
+/// stop. (Branch-and-bound and exhaustive search terminate on their own.)
 struct SchedulerOptions {
-  /// Wall-clock budget in seconds (<= 0: unlimited; supply max_iterations).
+  /// Wall-clock budget in seconds (<= 0: no time limit).
   double time_budget_s = 1.0;
   /// Max iterations (greedy: construction+improvement steps; EA:
-  /// generations). <= 0: unlimited.
+  /// generations). <= 0: no iteration cap.
   int max_iterations = 0;
   uint64_t seed = 1;
+
+  /// True when neither limit is set.
+  bool Unbounded() const {
+    return time_budget_s <= 0.0 && max_iterations <= 0;
+  }
 };
 
 /// One point of the cost-over-time convergence trace (Fig. 6 plots cost in
@@ -91,21 +99,24 @@ class Scheduler {
   virtual ~Scheduler() = default;
   virtual std::string Name() const = 0;
 
-  /// Solves `problem` within the budget. The problem must Validate().
+  /// Solves `problem` within the budget: validates it, compiles it once
+  /// and hands the compiled form to RunCompiled(). Virtual only so that a
+  /// decorator around another scheduler (perfbench's TracedScheduler) can
+  /// forward the whole call; schedulers implement RunCompiled().
   virtual Result<SchedulingResult> Run(const SchedulingProblem& problem,
-                                       const SchedulerOptions& options) = 0;
-
-  /// Solves an already-compiled problem. Callers that hold several
-  /// schedulers, restarts or follow-up passes over one gate's problem (e.g.
-  /// EdmsEngine, HybridScheduler) compile once and share the SoA form
-  /// instead of paying one compile per Run(). `compiled.source` must be
-  /// non-null, already Validate()d, and outlive the call. The default
-  /// delegates to Run() (recompiling); the in-tree schedulers all override
-  /// it with a compile-free path.
-  virtual Result<SchedulingResult> RunCompiled(
-      const CompiledProblem& compiled, const SchedulerOptions& options) {
-    return Run(*compiled.source, options);
+                                       const SchedulerOptions& options) {
+    MIRABEL_RETURN_IF_ERROR(problem.Validate());
+    CompiledProblem compiled(problem);
+    return RunCompiled(compiled, options);
   }
+
+  /// Solves an already-compiled problem. Callers that run several
+  /// schedulers or passes over one gate's problem (EdmsEngine, the
+  /// portfolio and robust wrappers) compile once and share the SoA form.
+  /// `compiled.source` must be non-null, already Validate()d, and outlive
+  /// the call.
+  virtual Result<SchedulingResult> RunCompiled(
+      const CompiledProblem& compiled, const SchedulerOptions& options) = 0;
 };
 
 /// Randomized greedy search (paper §6): "constructs the schedule gradually —
@@ -126,12 +137,7 @@ class GreedyScheduler : public Scheduler {
   GreedyScheduler();
   explicit GreedyScheduler(const Config& config);
   std::string Name() const override { return "GreedySearch"; }
-  Result<SchedulingResult> Run(const SchedulingProblem& problem,
-                               const SchedulerOptions& options) override;
-
-  /// Runs on an already-compiled problem (Run() compiles and delegates;
-  /// HybridScheduler and EdmsEngine compile once and share it across
-  /// phases/passes). `compiled.source` must outlive the call.
+  /// InvalidArgument when `options` are Unbounded().
   Result<SchedulingResult> RunCompiled(
       const CompiledProblem& compiled,
       const SchedulerOptions& options) override;
@@ -160,10 +166,8 @@ class EvolutionaryScheduler : public Scheduler {
   EvolutionaryScheduler();
   explicit EvolutionaryScheduler(const Config& config);
   std::string Name() const override { return "EvolutionaryAlgorithm"; }
-  Result<SchedulingResult> Run(const SchedulingProblem& problem,
-                               const SchedulerOptions& options) override;
-
-  /// Runs on an already-compiled problem; see GreedyScheduler::RunCompiled.
+  /// InvalidArgument when `options` are Unbounded() or the configuration
+  /// is degenerate.
   Result<SchedulingResult> RunCompiled(
       const CompiledProblem& compiled,
       const SchedulerOptions& options) override;
@@ -179,16 +183,14 @@ class EvolutionaryScheduler : public Scheduler {
 /// than `max_combinations` candidate schedules. The enumeration honors the
 /// time budget via BudgetGate: on exhaustion it returns the best schedule
 /// found so far with `optimal_proven` false; a completed enumeration sets
-/// `optimal_proven` true.
+/// `optimal_proven` true. Not registered by name (BranchAndBound proves the
+/// same optimum visiting fewer nodes); it stays as the oracle that tests and
+/// the optimality study compare against.
 class ExhaustiveScheduler : public Scheduler {
  public:
   explicit ExhaustiveScheduler(uint64_t max_combinations = 100000000ULL);
   std::string Name() const override { return "Exhaustive"; }
-  Result<SchedulingResult> Run(const SchedulingProblem& problem,
-                               const SchedulerOptions& options) override;
-
-  /// Runs on an already-compiled problem (still subject to the combination
-  /// limit); see GreedyScheduler::RunCompiled.
+  /// FailedPrecondition above the combination limit.
   Result<SchedulingResult> RunCompiled(
       const CompiledProblem& compiled,
       const SchedulerOptions& options) override;
@@ -200,34 +202,6 @@ class ExhaustiveScheduler : public Scheduler {
 
  private:
   uint64_t max_combinations_;
-};
-
-/// Hybrid of the paper's two metaheuristics (§6 research directions:
-/// "hybridizing the existing ones to improve their efficiency"): a
-/// randomized-greedy construction consumes a small share of the budget, then
-/// an independent EA run (not seeded with the greedy schedule) spends the
-/// rest; the cheaper of the two schedules wins.
-class HybridScheduler : public Scheduler {
- public:
-  struct Config {
-    /// Share of the budget given to the greedy construction phase.
-    double construction_share = 0.2;
-    EvolutionaryScheduler::Config evolution;
-  };
-  HybridScheduler();
-  explicit HybridScheduler(const Config& config);
-  std::string Name() const override { return "Hybrid"; }
-  Result<SchedulingResult> Run(const SchedulingProblem& problem,
-                               const SchedulerOptions& options) override;
-
-  /// Runs on an already-compiled problem, shared by both phases; see
-  /// GreedyScheduler::RunCompiled.
-  Result<SchedulingResult> RunCompiled(
-      const CompiledProblem& compiled,
-      const SchedulerOptions& options) override;
-
- private:
-  Config config_;
 };
 
 // Name-based construction lives in edms::SchedulerRegistry (the scheduling

@@ -1,15 +1,8 @@
 #include "scheduling/scheduling_problem.h"
 
-#include <cmath>
-#include <utility>
-
-#include "scheduling/compiled_problem.h"
+#include <string>
 
 namespace mirabel::scheduling {
-
-using flexoffer::FlexOffer;
-using flexoffer::ScheduledFlexOffer;
-using flexoffer::TimeSlice;
 
 Status SchedulingProblem::Validate() const {
   if (horizon_length <= 0) {
@@ -31,78 +24,6 @@ Status SchedulingProblem::Validate() const {
     }
   }
   return Status::OK();
-}
-
-double CostEvaluator::SliceEnergy(const FlexOffer& offer, int64_t j,
-                                  double lambda) {
-  const auto& band = offer.profile[static_cast<size_t>(j)];
-  return band.min_kwh + lambda * band.Flexibility();
-}
-
-CostEvaluator::CostEvaluator(const SchedulingProblem& problem)
-    : problem_(&problem),
-      compiled_(std::make_unique<CompiledProblem>(problem)),
-      workspace_(std::make_unique<ScheduleWorkspace>(*compiled_)) {
-  // The workspace starts on the default schedule; mirror it.
-  workspace_->ExportSchedule(&schedule_);
-}
-
-CostEvaluator::~CostEvaluator() = default;
-CostEvaluator::CostEvaluator(CostEvaluator&&) noexcept = default;
-CostEvaluator& CostEvaluator::operator=(CostEvaluator&&) noexcept = default;
-
-Status CostEvaluator::SetSchedule(const Schedule& schedule) {
-  MIRABEL_RETURN_IF_ERROR(workspace_->SetSchedule(*compiled_, schedule));
-  schedule_ = schedule;
-  return Status::OK();
-}
-
-ScheduleCost CostEvaluator::Cost() const {
-  return workspace_->Cost(*compiled_);
-}
-
-Result<double> CostEvaluator::EvaluateTotal(const Schedule& schedule) const {
-  if (scratch_ == nullptr) {
-    scratch_ = std::make_unique<ScheduleWorkspace>(*compiled_);
-  }
-  return scratch_->EvaluateInto(*compiled_, schedule);
-}
-
-Result<double> CostEvaluator::TryMove(size_t index,
-                                      const OfferAssignment& candidate) const {
-  if (index >= compiled_->num_offers) {
-    return Status::OutOfRange("offer index");
-  }
-  if (candidate.start < compiled_->earliest_start[index] ||
-      candidate.start > compiled_->latest_start[index] ||
-      candidate.fill < 0.0 || candidate.fill > 1.0) {
-    return Status::OutOfRange("candidate assignment infeasible");
-  }
-  return workspace_->TryMove(*compiled_, index, candidate.start,
-                             candidate.fill);
-}
-
-Status CostEvaluator::ApplyMove(size_t index,
-                                const OfferAssignment& candidate) {
-  if (index >= compiled_->num_offers) {
-    return Status::OutOfRange("offer index");
-  }
-  if (candidate.start < compiled_->earliest_start[index] ||
-      candidate.start > compiled_->latest_start[index] ||
-      candidate.fill < 0.0 || candidate.fill > 1.0) {
-    return Status::OutOfRange("candidate assignment infeasible");
-  }
-  workspace_->ApplyMove(*compiled_, index, candidate.start, candidate.fill);
-  schedule_.assignments[index] = candidate;
-  return Status::OK();
-}
-
-const std::vector<double>& CostEvaluator::net_kwh() const {
-  return workspace_->net_kwh();
-}
-
-std::vector<ScheduledFlexOffer> CostEvaluator::ToScheduledOffers() const {
-  return workspace_->ExportScheduledOffers(*compiled_);
 }
 
 }  // namespace mirabel::scheduling

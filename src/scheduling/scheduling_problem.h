@@ -2,7 +2,6 @@
 #define MIRABEL_SCHEDULING_SCHEDULING_PROBLEM_H_
 
 #include <limits>
-#include <memory>
 #include <vector>
 
 #include "common/result.h"
@@ -72,7 +71,10 @@ struct Schedule {
 };
 
 /// Cost breakdown of a schedule (all EUR; total may be negative when market
-/// sales out-earn the other terms).
+/// sales out-earn the other terms). The market trades are closed-form per
+/// slice given its net residual (SliceResidualCost in compiled_problem.h),
+/// so search only explores start times and fill levels. The SoA kernel
+/// (CompiledProblem + ScheduleWorkspace) evaluates it.
 struct ScheduleCost {
   double imbalance_eur = 0.0;
   double flex_activation_eur = 0.0;
@@ -81,83 +83,6 @@ struct ScheduleCost {
   double total() const {
     return imbalance_eur + flex_activation_eur + market_eur;
   }
-};
-
-struct CompiledProblem;
-class ScheduleWorkspace;
-
-/// Evaluates schedules against a problem, maintaining the per-slice net load
-/// so that single-offer moves are O(profile length) instead of O(horizon).
-///
-/// The market layer is folded in analytically per slice: given the net
-/// residual r of a slice, the optimal trade is closed-form (buy up to the
-/// cap while the buy price undercuts the imbalance penalty; sell surplus up
-/// to the cap while the sell price is positive), so search only has to
-/// explore start times and fill levels.
-///
-/// This class is a compatibility shim over the scheduling kernel
-/// (compiled_problem.h): construction compiles the problem into SoA form
-/// once, and every operation delegates to a ScheduleWorkspace. Results are
-/// bit-identical to the pre-kernel implementation (preserved as
-/// ReferenceCostEvaluator). The schedulers bypass the shim and drive the
-/// kernel directly; new hot-path code should too.
-///
-/// Not thread-safe, including the const methods: TryMove() and Cost() write
-/// to the workspace's mutable scratch buffers / lazy cost caches, and
-/// EvaluateTotal() reuses a pooled scratch workspace. Use one evaluator per
-/// thread.
-class CostEvaluator {
- public:
-  /// `problem` must outlive the evaluator and must be Validate()d.
-  explicit CostEvaluator(const SchedulingProblem& problem);
-  ~CostEvaluator();
-  CostEvaluator(CostEvaluator&&) noexcept;
-  CostEvaluator& operator=(CostEvaluator&&) noexcept;
-
-  /// Replaces the current schedule, recomputing state from scratch. Invalid
-  /// assignments (start outside an offer's window, fill outside [0, 1])
-  /// return OutOfRange.
-  Status SetSchedule(const Schedule& schedule);
-
-  /// Full cost of the current schedule.
-  ScheduleCost Cost() const;
-
-  /// Total cost of `schedule` without disturbing the current state. Runs one
-  /// fused validate+accumulate+sweep pass in a pooled scratch workspace (the
-  /// pre-kernel version built a whole scratch evaluator, accumulating the
-  /// default schedule only to throw it away). Not thread-safe: concurrent
-  /// EvaluateTotal calls share the scratch workspace.
-  Result<double> EvaluateTotal(const Schedule& schedule) const;
-
-  /// Cost delta of moving offer `index` to `candidate` from its current
-  /// assignment. Does not change state.
-  Result<double> TryMove(size_t index, const OfferAssignment& candidate) const;
-
-  /// Applies a move (must be valid).
-  Status ApplyMove(size_t index, const OfferAssignment& candidate);
-
-  const Schedule& schedule() const { return schedule_; }
-  const SchedulingProblem& problem() const { return *problem_; }
-
-  /// Net load (baseline + scheduled flex) per horizon slice, before the
-  /// market layer. Useful for imbalance reporting.
-  const std::vector<double>& net_kwh() const;
-
-  /// Converts the current schedule into per-offer scheduled flex-offers.
-  std::vector<flexoffer::ScheduledFlexOffer> ToScheduledOffers() const;
-
-  /// Energy of offer `index` at profile position `j` under fill `lambda`.
-  static double SliceEnergy(const flexoffer::FlexOffer& offer, int64_t j,
-                            double lambda);
-
- private:
-  const SchedulingProblem* problem_;
-  /// Mirror of the workspace assignments, kept for the schedule() accessor.
-  Schedule schedule_;
-  std::unique_ptr<CompiledProblem> compiled_;
-  std::unique_ptr<ScheduleWorkspace> workspace_;
-  /// Pooled scratch for EvaluateTotal; allocated lazily on first use.
-  mutable std::unique_ptr<ScheduleWorkspace> scratch_;
 };
 
 }  // namespace mirabel::scheduling

@@ -133,12 +133,6 @@ class FixedScheduler : public Scheduler {
  public:
   explicit FixedScheduler(Schedule schedule) : schedule_(std::move(schedule)) {}
   std::string Name() const override { return "Fixed"; }
-  Result<SchedulingResult> Run(const SchedulingProblem& problem,
-                               const SchedulerOptions& options) override {
-    MIRABEL_RETURN_IF_ERROR(problem.Validate());
-    CompiledProblem cp(problem);
-    return RunCompiled(cp, options);
-  }
   Result<SchedulingResult> RunCompiled(const CompiledProblem& cp,
                                        const SchedulerOptions&) override {
     ScheduleWorkspace ws(cp);

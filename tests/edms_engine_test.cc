@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -187,6 +188,35 @@ TEST(EdmsEngineTest, StaleOffersExpireAtTheGate) {
   EXPECT_EQ(*engine.lifecycle().StateOf(5), OfferState::kExpired);
   EXPECT_EQ(engine.stats().offers_expired_in_pipeline, 1);
   EXPECT_EQ(engine.stats().macros_scheduled, 0);
+}
+
+TEST(EdmsEngineTest, UnboundedSchedulerBudgetFailsTheGateAndExpiresOffers) {
+  // Neither a time budget nor an iteration cap: the default greedy scheduler
+  // refuses the run instead of looping forever, and every offer the gate
+  // claimed is closed exactly once through the scheduling-failure path.
+  EdmsEngine::Config cfg = DeterministicConfig();
+  cfg.scheduler_budget_s = 0.0;
+  cfg.scheduler_max_iterations = 0;
+  EdmsEngine engine(cfg);
+  std::vector<FlexOffer> offers = ThreeOffers();
+  ASSERT_TRUE(engine.SubmitOffers(offers, 0).ok());
+  (void)engine.PollEvents();
+
+  EXPECT_EQ(engine.Advance(0).code(), StatusCode::kInvalidArgument);
+
+  std::map<flexoffer::FlexOfferId, int> expired;
+  for (const Event& event : engine.PollEvents()) {
+    const auto* e = std::get_if<OfferExpired>(&event);
+    ASSERT_NE(e, nullptr) << EventName(event);
+    ++expired[e->offer];
+  }
+  ASSERT_EQ(expired.size(), offers.size());
+  for (const FlexOffer& fo : offers) {
+    EXPECT_EQ(expired[fo.id], 1) << "offer " << fo.id;
+    EXPECT_EQ(*engine.lifecycle().StateOf(fo.id), OfferState::kExpired);
+  }
+  EXPECT_EQ(engine.stats().scheduling_runs, 0);
+  EXPECT_EQ(engine.stats().offers_expired_in_pipeline, 3);
 }
 
 TEST(EdmsEngineTest, ForwardingModePublishesAndCompletesMacros) {

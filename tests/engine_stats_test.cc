@@ -33,13 +33,12 @@ EngineStats Filled(int64_t base) {
   s.offers_dropped_at_shutdown = base + 18;
   s.portfolio_wins_greedy = base + 19;
   s.portfolio_wins_ea = base + 20;
-  s.portfolio_wins_hybrid = base + 21;
-  s.portfolio_wins_bnb = base + 22;
-  s.bnb_optimal_proven = base + 23;
-  s.robust_runs = base + 24;
-  s.robust_scenario_evaluations = base + 25;
-  s.robust_expected_cost_eur = static_cast<double>(base) + 26.5;
-  s.robust_cvar_eur = static_cast<double>(base) + 27.5;
+  s.portfolio_wins_bnb = base + 21;
+  s.bnb_optimal_proven = base + 22;
+  s.robust_runs = base + 23;
+  s.robust_scenario_evaluations = base + 24;
+  s.robust_expected_cost_eur = static_cast<double>(base) + 25.5;
+  s.robust_cvar_eur = static_cast<double>(base) + 26.5;
   return s;
 }
 
@@ -67,14 +66,13 @@ void ExpectSum(const EngineStats& merged, int64_t a, int64_t b) {
   EXPECT_EQ(merged.offers_dropped_at_shutdown, a + b + 36);
   EXPECT_EQ(merged.portfolio_wins_greedy, a + b + 38);
   EXPECT_EQ(merged.portfolio_wins_ea, a + b + 40);
-  EXPECT_EQ(merged.portfolio_wins_hybrid, a + b + 42);
-  EXPECT_EQ(merged.portfolio_wins_bnb, a + b + 44);
-  EXPECT_EQ(merged.bnb_optimal_proven, a + b + 46);
-  EXPECT_EQ(merged.robust_runs, a + b + 48);
-  EXPECT_EQ(merged.robust_scenario_evaluations, a + b + 50);
+  EXPECT_EQ(merged.portfolio_wins_bnb, a + b + 42);
+  EXPECT_EQ(merged.bnb_optimal_proven, a + b + 44);
+  EXPECT_EQ(merged.robust_runs, a + b + 46);
+  EXPECT_EQ(merged.robust_scenario_evaluations, a + b + 48);
   EXPECT_DOUBLE_EQ(merged.robust_expected_cost_eur,
-                   static_cast<double>(a + b) + 53.0);
-  EXPECT_DOUBLE_EQ(merged.robust_cvar_eur, static_cast<double>(a + b) + 55.0);
+                   static_cast<double>(a + b) + 51.0);
+  EXPECT_DOUBLE_EQ(merged.robust_cvar_eur, static_cast<double>(a + b) + 53.0);
 }
 
 TEST(EngineStatsTest, MergeCoversEveryField) {

@@ -8,6 +8,7 @@
 #include "datagen/energy_series_generator.h"
 #include "datagen/flex_offer_generator.h"
 #include "forecasting/forecaster.h"
+#include "scheduling/compiled_problem.h"
 #include "scheduling/scenario.h"
 #include "scheduling/scheduler.h"
 
@@ -76,13 +77,14 @@ TEST_P(EndToEndPipeline, AggregateScheduleDisaggregate) {
   auto run = scheduler.Run(problem, options);
   ASSERT_TRUE(run.ok());
 
-  scheduling::CostEvaluator evaluator(problem);
-  ASSERT_TRUE(evaluator.SetSchedule(run->schedule).ok());
+  scheduling::CompiledProblem compiled(problem);
+  scheduling::ScheduleWorkspace workspace(compiled);
+  ASSERT_TRUE(workspace.SetSchedule(compiled, run->schedule).ok());
   std::unordered_map<flexoffer::FlexOfferId, const FlexOffer*> offer_by_id;
   for (const auto& fo : offers) offer_by_id[fo.id] = &fo;
 
   size_t micro_count = 0;
-  for (const auto& macro_schedule : evaluator.ToScheduledOffers()) {
+  for (const auto& macro_schedule : workspace.ExportScheduledOffers(compiled)) {
     auto micro = pipeline.DisaggregateSchedule(macro_schedule);
     ASSERT_TRUE(micro.ok());
     double macro_total = macro_schedule.TotalEnergy();
@@ -138,7 +140,9 @@ TEST(ForecastToScheduleTest, ForecastDrivesImbalanceCurve) {
     problem.baseline_imbalance_kwh[s] = ((*forecast)[s] - 100.0);
   }
 
-  double fallback_cost = scheduling::CostEvaluator(problem).Cost().total();
+  scheduling::CompiledProblem compiled(problem);
+  double fallback_cost =
+      scheduling::ScheduleWorkspace(compiled).Cost(compiled).total();
   scheduling::GreedyScheduler scheduler;
   scheduling::SchedulerOptions options;
   options.time_budget_s = 0.0;

@@ -35,12 +35,6 @@ class FixedScheduler : public Scheduler {
  public:
   explicit FixedScheduler(Schedule schedule) : schedule_(std::move(schedule)) {}
   std::string Name() const override { return "Fixed"; }
-  Result<SchedulingResult> Run(const SchedulingProblem& problem,
-                               const SchedulerOptions& options) override {
-    MIRABEL_RETURN_IF_ERROR(problem.Validate());
-    CompiledProblem cp(problem);
-    return RunCompiled(cp, options);
-  }
   Result<SchedulingResult> RunCompiled(const CompiledProblem& cp,
                                        const SchedulerOptions&) override {
     ScheduleWorkspace ws(cp);
@@ -130,13 +124,13 @@ TEST(PortfolioSchedulerTest, DefaultRaceOnWorkerPoolBeatsNoMember) {
   pool_options.num_threads = 2;
   edms::WorkerPool pool(pool_options);
 
-  PortfolioScheduler::Config config;  // default members: greedy/EA/hybrid/bnb
+  PortfolioScheduler::Config config;  // default members: greedy/EA/bnb
   config.executor = std::make_shared<edms::WorkerPoolExecutor>(&pool);
   PortfolioScheduler portfolio(config);
 
   auto result = portfolio.Run(problem, IterBudget(60));
   ASSERT_TRUE(result.ok());
-  ASSERT_EQ(result->portfolio.size(), 4u);
+  ASSERT_EQ(result->portfolio.size(), 3u);
 
   int winners = 0;
   double best_member = std::numeric_limits<double>::infinity();
@@ -151,15 +145,14 @@ TEST(PortfolioSchedulerTest, DefaultRaceOnWorkerPoolBeatsNoMember) {
   // Member names are the underlying scheduler names, rank order preserved.
   EXPECT_EQ(result->portfolio[0].name, "GreedySearch");
   EXPECT_EQ(result->portfolio[1].name, "EvolutionaryAlgorithm");
-  EXPECT_EQ(result->portfolio[2].name, "Hybrid");
-  EXPECT_EQ(result->portfolio[3].name, "BranchAndBound");
+  EXPECT_EQ(result->portfolio[2].name, "BranchAndBound");
 
   // Iteration-capped members are deterministic, so the whole race is: a
   // second run on the same pool must reproduce the winner bit for bit.
   auto again = portfolio.Run(problem, IterBudget(60));
   ASSERT_TRUE(again.ok());
   EXPECT_EQ(again->cost.total(), result->cost.total());
-  for (size_t rank = 0; rank < 4; ++rank) {
+  for (size_t rank = 0; rank < 3; ++rank) {
     EXPECT_EQ(again->portfolio[rank].won, result->portfolio[rank].won) << rank;
   }
 }

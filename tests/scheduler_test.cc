@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "edms/scheduler_registry.h"
+#include "scheduling/compiled_problem.h"
 #include "scheduling/scenario.h"
 
 namespace mirabel::scheduling {
@@ -33,7 +34,8 @@ TEST_P(SchedulerSuite, ImprovesOverFallbackBaseline) {
   cfg.num_offers = 50;
   cfg.seed = 5;
   SchedulingProblem problem = MakeScenario(cfg);
-  double baseline = CostEvaluator(problem).Cost().total();
+  CompiledProblem cp(problem);
+  double baseline = ScheduleWorkspace(cp).Cost(cp).total();
 
   auto scheduler = MakeScheduler(GetParam());
   ASSERT_NE(scheduler, nullptr);
@@ -51,9 +53,10 @@ TEST_P(SchedulerSuite, ScheduleRespectsAllConstraints) {
   auto scheduler = MakeScheduler(GetParam());
   auto result = scheduler->Run(problem, IterBudget(100));
   ASSERT_TRUE(result.ok());
-  CostEvaluator eval(problem);
-  ASSERT_TRUE(eval.SetSchedule(result->schedule).ok());
-  auto scheduled = eval.ToScheduledOffers();
+  CompiledProblem cp(problem);
+  ScheduleWorkspace ws(cp);
+  ASSERT_TRUE(ws.SetSchedule(cp, result->schedule).ok());
+  auto scheduled = ws.ExportScheduledOffers(cp);
   for (size_t i = 0; i < scheduled.size(); ++i) {
     EXPECT_TRUE(scheduled[i].ValidateAgainst(problem.offers[i]).ok());
   }
@@ -105,31 +108,26 @@ TEST_P(SchedulerSuite, HandlesEmptyOfferSet) {
   EXPECT_TRUE(result->schedule.assignments.empty());
 }
 
+// Every registered name: the suite drives each one through the shared
+// Scheduler::Run() entry point.
 INSTANTIATE_TEST_SUITE_P(Algorithms, SchedulerSuite,
                          ::testing::Values("GreedySearch",
-                                           "EvolutionaryAlgorithm", "Hybrid",
-                                           "BranchAndBound", "Portfolio"),
+                                           "EvolutionaryAlgorithm",
+                                           "BranchAndBound", "Portfolio",
+                                           "Robust"),
                          [](const auto& info) { return info.param; });
 
-TEST(HybridSchedulerTest, AtLeastAsGoodAsItsGreedyPhase) {
+TEST(SchedulerBudgetTest, AnytimeSchedulersRejectUnboundedOptions) {
+  // With neither a time budget nor an iteration cap an anytime run would
+  // never stop, so it must be refused up front.
   ScenarioConfig cfg;
-  cfg.num_offers = 60;
-  cfg.seed = 21;
+  cfg.num_offers = 10;
   SchedulingProblem problem = MakeScenario(cfg);
-
-  SchedulerOptions options;
-  options.time_budget_s = 0.3;
-  options.seed = 2;
-  HybridScheduler hybrid;
-  auto hybrid_run = hybrid.Run(problem, options);
-  ASSERT_TRUE(hybrid_run.ok());
-
-  GreedyScheduler greedy;
-  SchedulerOptions greedy_options = options;
-  greedy_options.time_budget_s = 0.2 * options.time_budget_s;
-  auto greedy_run = greedy.Run(problem, greedy_options);
-  ASSERT_TRUE(greedy_run.ok());
-  EXPECT_LE(hybrid_run->cost.total(), greedy_run->cost.total() + 1e-6);
+  for (const char* name : {"GreedySearch", "EvolutionaryAlgorithm"}) {
+    auto run = MakeScheduler(name)->Run(problem, IterBudget(0));
+    ASSERT_FALSE(run.ok()) << name;
+    EXPECT_EQ(run.status().code(), StatusCode::kInvalidArgument) << name;
+  }
 }
 
 TEST(SchedulerFactoryTest, UnknownNameIsNotFound) {
@@ -141,8 +139,8 @@ TEST(SchedulerFactoryTest, UnknownNameIsNotFound) {
 TEST(SchedulerFactoryTest, DefaultRegistryListsThePaperAlgorithms) {
   auto names = edms::SchedulerRegistry::Default().Names();
   EXPECT_EQ(names, (std::vector<std::string>{
-                       "BranchAndBound", "EvolutionaryAlgorithm", "Exhaustive",
-                       "GreedySearch", "Hybrid", "Portfolio", "Robust"}));
+                       "BranchAndBound", "EvolutionaryAlgorithm",
+                       "GreedySearch", "Portfolio", "Robust"}));
   for (const std::string& name : names) {
     auto created = edms::SchedulerRegistry::Default().Create(name);
     ASSERT_TRUE(created.ok()) << name;

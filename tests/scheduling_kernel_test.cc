@@ -5,10 +5,10 @@
 //     deltas and EvaluateInto totals match a naive full recomputation
 //     within 1e-9 (relative), and match the preserved pre-kernel
 //     implementation (ReferenceCostEvaluator) bit for bit.
-//  2. All four schedulers, rewired onto the kernel, produce bit-identical
-//     SchedulingResults to the pre-kernel implementations (reimplemented
-//     here verbatim over ReferenceCostEvaluator) for fixed seeds under
-//     max_iterations budgets.
+//  2. The greedy, EA and exhaustive schedulers, rewired onto the kernel,
+//     produce bit-identical SchedulingResults to the pre-kernel
+//     implementations (reimplemented here verbatim over
+//     ReferenceCostEvaluator) for fixed seeds under max_iterations budgets.
 //  3. The steady-state evaluate / TryMove / ApplyMove loop performs zero
 //     heap allocations, asserted with a counting global operator new.
 #include "scheduling/compiled_problem.h"
@@ -195,15 +195,15 @@ TEST(SchedulingKernelPropertyTest, MatchesNaiveAndReferenceAcrossRandomRuns) {
       EXPECT_NEAR(*kernel_total, NaiveTotalCost(p, s), RelTol(*ref_total));
     }
 
-    // The shim follows the kernel (spot check). Compare against a *fresh*
-    // reference evaluator: `ref` above reached `current` through incremental
-    // ApplyMoves, whose floating-point history a fresh SetSchedule does not
-    // share (in either implementation).
-    CostEvaluator shim(p);
-    ASSERT_TRUE(shim.SetSchedule(current).ok());
+    // A fresh SetSchedule follows the reference too. Compare a *fresh*
+    // workspace against a *fresh* reference evaluator: `ws` and `ref` above
+    // reached `current` through incremental ApplyMoves, whose floating-point
+    // history a fresh SetSchedule does not share (in either implementation).
+    ScheduleWorkspace fresh(cp);
+    ASSERT_TRUE(fresh.SetSchedule(cp, current).ok());
     ReferenceCostEvaluator fresh_ref(p);
     ASSERT_TRUE(fresh_ref.SetSchedule(current).ok());
-    EXPECT_EQ(shim.Cost().total(), fresh_ref.Cost().total());
+    EXPECT_EQ(fresh.Cost(cp).total(), fresh_ref.Cost().total());
   }
   EXPECT_GE(problems, 200);
 }
@@ -493,45 +493,6 @@ SchedulingResult Exhaustive(const SchedulingProblem& problem) {
   return result;
 }
 
-SchedulingResult Hybrid(const SchedulingProblem& problem,
-                        const SchedulerOptions& options,
-                        const HybridScheduler::Config& config) {
-  SchedulerOptions greedy_options = options;
-  if (options.max_iterations > 0) {
-    greedy_options.max_iterations = std::max(
-        1, static_cast<int>(config.construction_share *
-                            static_cast<double>(options.max_iterations)));
-  }
-  SchedulingResult constructed =
-      Greedy(problem, greedy_options, GreedyScheduler::Config());
-  SchedulerOptions ea_options = options;
-  if (options.max_iterations > 0) {
-    ea_options.max_iterations =
-        std::max(1, options.max_iterations - constructed.iterations);
-  }
-  ea_options.seed = options.seed + 1;
-  SchedulingResult refined =
-      Evolutionary(problem, ea_options, config.evolution);
-  SchedulingResult result;
-  result.iterations = constructed.iterations + refined.iterations;
-  if (refined.cost.total() < constructed.cost.total()) {
-    result.schedule = refined.schedule;
-    result.cost = refined.cost;
-  } else {
-    result.schedule = constructed.schedule;
-    result.cost = constructed.cost;
-  }
-  result.trace = constructed.trace;
-  double floor_cost = constructed.cost.total();
-  for (const CostTracePoint& p : refined.trace) {
-    if (p.best_cost_eur < floor_cost) {
-      result.trace.push_back({0.0, p.best_cost_eur});
-      floor_cost = p.best_cost_eur;
-    }
-  }
-  return result;
-}
-
 }  // namespace reference
 
 void ExpectBitIdentical(const SchedulingResult& got,
@@ -609,20 +570,6 @@ TEST(SchedulerBitIdentityTest, ExhaustiveMatchesPreKernelImplementation) {
   auto got = exhaustive.Run(problem, options);
   ASSERT_TRUE(got.ok());
   SchedulingResult want = reference::Exhaustive(problem);
-  ExpectBitIdentical(*got, want);
-}
-
-TEST(SchedulerBitIdentityTest, HybridMatchesPreKernelImplementation) {
-  ScenarioConfig cfg;
-  cfg.num_offers = 20;
-  cfg.seed = 91;
-  SchedulingProblem problem = MakeScenario(cfg);
-  SchedulerOptions options = IterBudget(60, 3);
-  HybridScheduler hybrid;
-  auto got = hybrid.Run(problem, options);
-  ASSERT_TRUE(got.ok());
-  SchedulingResult want =
-      reference::Hybrid(problem, options, HybridScheduler::Config());
   ExpectBitIdentical(*got, want);
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "scheduling/compiled_problem.h"
 #include "scheduling/scenario.h"
 
 namespace mirabel::scheduling {
@@ -53,65 +54,75 @@ TEST(SchedulingProblemTest, RejectsOfferOutsideHorizon) {
   EXPECT_FALSE(p.Validate().ok());
 }
 
-TEST(CostEvaluatorTest, DefaultScheduleIsEarliestMaxFill) {
+// The cost model, evaluated by the SoA kernel (CompiledProblem +
+// ScheduleWorkspace) on hand-checkable instances.
+
+TEST(ScheduleWorkspaceTest, DefaultScheduleIsEarliestMaxFill) {
   SchedulingProblem p = TinyProblem();
-  CostEvaluator eval(p);
-  EXPECT_EQ(eval.schedule().assignments[0].start, 0);
-  EXPECT_DOUBLE_EQ(eval.schedule().assignments[0].fill, 1.0);
+  CompiledProblem cp(p);
+  ScheduleWorkspace ws(cp);
+  EXPECT_EQ(ws.start(0), 0);
+  EXPECT_DOUBLE_EQ(ws.fill(0), 1.0);
 }
 
-TEST(CostEvaluatorTest, HandComputedCost) {
+TEST(ScheduleWorkspaceTest, HandComputedCost) {
   SchedulingProblem p = TinyProblem();
-  CostEvaluator eval(p);
+  CompiledProblem cp(p);
+  ScheduleWorkspace ws(cp);
   // Offer at start 0, fill 1: energies 2,1 -> net = {4, -2, 0, 1}.
   // Slice 0: deficit 4, buy 1 @0.5, remaining 3 @1.0      -> 0.5 + 3.0
   // Slice 1: surplus 2, sell 1 @0.2 (revenue), 1 penalty  -> -0.2 + 1.0
   // Slice 2: balanced                                      -> 0
   // Slice 3: deficit 1, buy 1 @0.5                         -> 0.5
   // Activation: unit price 0 -> 0.
-  ScheduleCost cost = eval.Cost();
+  ScheduleCost cost = ws.Cost(cp);
   EXPECT_NEAR(cost.market_eur, 0.5 - 0.2 + 0.5, 1e-9);
   EXPECT_NEAR(cost.imbalance_eur, 3.0 + 1.0, 1e-9);
   EXPECT_NEAR(cost.flex_activation_eur, 0.0, 1e-9);
   EXPECT_NEAR(cost.total(), 4.8, 1e-9);
 }
 
-TEST(CostEvaluatorTest, ActivationCostUsesUnitPrice) {
+TEST(ScheduleWorkspaceTest, ActivationCostUsesUnitPrice) {
   SchedulingProblem p = TinyProblem();
   p.offers[0].unit_price_eur = 0.1;
-  CostEvaluator eval(p);
+  CompiledProblem cp(p);
   // 3 kWh scheduled at 0.1 EUR/kWh.
-  EXPECT_NEAR(eval.Cost().flex_activation_eur, 0.3, 1e-9);
+  EXPECT_NEAR(ScheduleWorkspace(cp).Cost(cp).flex_activation_eur, 0.3, 1e-9);
 }
 
-TEST(CostEvaluatorTest, MovingOfferToSurplusSliceReducesCost) {
+TEST(ScheduleWorkspaceTest, MovingOfferToSurplusSliceReducesCost) {
   SchedulingProblem p = TinyProblem();
-  CostEvaluator eval(p);
-  double before = eval.Cost().total();
+  CompiledProblem cp(p);
+  ScheduleWorkspace ws(cp);
+  double before = ws.Cost(cp).total();
   // Start 1 puts the big slice onto the surplus: net = {2, -1, 1, 1}.
-  ASSERT_TRUE(eval.ApplyMove(0, {1, 1.0}).ok());
-  EXPECT_LT(eval.Cost().total(), before);
+  ws.ApplyMove(cp, 0, 1, 1.0);
+  EXPECT_LT(ws.Cost(cp).total(), before);
 }
 
-TEST(CostEvaluatorTest, SetScheduleRejectsInfeasible) {
+TEST(ScheduleWorkspaceTest, SetScheduleRejectsInfeasible) {
   SchedulingProblem p = TinyProblem();
-  CostEvaluator eval(p);
+  CompiledProblem cp(p);
+  ScheduleWorkspace ws(cp);
   Schedule s;
   s.assignments = {{3, 1.0}};  // start after latest_start
-  EXPECT_FALSE(eval.SetSchedule(s).ok());
+  EXPECT_FALSE(ws.SetSchedule(cp, s).ok());
   s.assignments = {{1, 1.5}};  // fill > 1
-  EXPECT_FALSE(eval.SetSchedule(s).ok());
+  EXPECT_FALSE(ws.SetSchedule(cp, s).ok());
   s.assignments = {{1, 0.5}, {0, 1.0}};  // wrong count
-  EXPECT_FALSE(eval.SetSchedule(s).ok());
+  EXPECT_FALSE(ws.SetSchedule(cp, s).ok());
 }
 
-TEST(CostEvaluatorTest, TryMoveMatchesFullReevaluation) {
+TEST(ScheduleWorkspaceTest, TryMoveMatchesFullReevaluation) {
   ScenarioConfig cfg;
   cfg.num_offers = 30;
   cfg.seed = 91;
   SchedulingProblem p = MakeScenario(cfg);
   ASSERT_TRUE(p.Validate().ok());
-  CostEvaluator eval(p);
+  CompiledProblem cp(p);
+  ScheduleWorkspace ws(cp);
+  ScheduleWorkspace scratch(cp);
+  Schedule moved;
   Rng rng(17);
   for (int trial = 0; trial < 200; ++trial) {
     size_t i = rng.Index(p.offers.size());
@@ -119,68 +130,56 @@ TEST(CostEvaluatorTest, TryMoveMatchesFullReevaluation) {
     OfferAssignment candidate{
         fo.earliest_start + rng.UniformInt(0, fo.TimeFlexibility()),
         rng.NextDouble()};
-    auto delta = eval.TryMove(i, candidate);
-    ASSERT_TRUE(delta.ok());
+    double delta = ws.TryMove(cp, i, candidate.start, candidate.fill);
 
-    Schedule moved = eval.schedule();
+    ws.ExportSchedule(&moved);
     moved.assignments[i] = candidate;
-    auto full = eval.EvaluateTotal(moved);
+    auto full = scratch.EvaluateInto(cp, moved);
     ASSERT_TRUE(full.ok());
-    EXPECT_NEAR(eval.Cost().total() + *delta, *full, 1e-6)
-        << "trial " << trial;
+    EXPECT_NEAR(ws.Cost(cp).total() + delta, *full, 1e-6) << "trial " << trial;
     // Occasionally apply the move so the walk covers many states.
-    if (trial % 3 == 0) {
-      ASSERT_TRUE(eval.ApplyMove(i, candidate).ok());
-    }
+    if (trial % 3 == 0) ws.ApplyMove(cp, i, candidate.start, candidate.fill);
   }
 }
 
-TEST(CostEvaluatorTest, TryMoveRejectsInfeasible) {
-  SchedulingProblem p = TinyProblem();
-  CostEvaluator eval(p);
-  EXPECT_FALSE(eval.TryMove(0, {5, 1.0}).ok());
-  EXPECT_FALSE(eval.TryMove(0, {1, 1.2}).ok());
-  EXPECT_FALSE(eval.TryMove(3, {0, 1.0}).ok());
-}
-
-TEST(CostEvaluatorTest, ToScheduledOffersValidates) {
+TEST(ScheduleWorkspaceTest, ExportedOffersValidate) {
   ScenarioConfig cfg;
   cfg.num_offers = 25;
   cfg.seed = 92;
   cfg.production_fraction = 0.4;
   SchedulingProblem p = MakeScenario(cfg);
-  CostEvaluator eval(p);
+  CompiledProblem cp(p);
+  ScheduleWorkspace ws(cp);
   Rng rng(3);
   for (size_t i = 0; i < p.offers.size(); ++i) {
-    ASSERT_TRUE(eval.ApplyMove(i, {p.offers[i].earliest_start +
-                                       rng.UniformInt(0, p.offers[i]
-                                                             .TimeFlexibility()),
-                                   rng.NextDouble()})
-                    .ok());
+    const FlexOffer& fo = p.offers[i];
+    const flexoffer::TimeSlice start =
+        fo.earliest_start + rng.UniformInt(0, fo.TimeFlexibility());
+    ws.ApplyMove(cp, i, start, rng.NextDouble());
   }
-  auto scheduled = eval.ToScheduledOffers();
+  auto scheduled = ws.ExportScheduledOffers(cp);
   ASSERT_EQ(scheduled.size(), p.offers.size());
   for (size_t i = 0; i < scheduled.size(); ++i) {
     EXPECT_TRUE(scheduled[i].ValidateAgainst(p.offers[i]).ok());
   }
 }
 
-TEST(CostEvaluatorTest, MarketCapsLimitTrades) {
+TEST(ScheduleWorkspaceTest, MarketCapsLimitTrades) {
   SchedulingProblem p = TinyProblem();
   p.market.max_buy_kwh = 0.0;
   p.market.max_sell_kwh = 0.0;
-  CostEvaluator eval(p);
+  CompiledProblem cp(p);
   // With no market access every deviation is imbalance: |4|+|2|+0+|1| = 7.
-  ScheduleCost cost = eval.Cost();
+  ScheduleCost cost = ScheduleWorkspace(cp).Cost(cp);
   EXPECT_NEAR(cost.market_eur, 0.0, 1e-9);
   EXPECT_NEAR(cost.imbalance_eur, 7.0, 1e-9);
 }
 
-TEST(CostEvaluatorTest, ExpensiveBuyingIsSkipped) {
+TEST(ScheduleWorkspaceTest, ExpensiveBuyingIsSkipped) {
   SchedulingProblem p = TinyProblem();
   p.market.buy_price_eur = {2.0, 2.0, 2.0, 2.0};  // above the penalty
-  CostEvaluator eval(p);
-  ScheduleCost cost = eval.Cost();
+  CompiledProblem cp(p);
+  ScheduleCost cost = ScheduleWorkspace(cp).Cost(cp);
   // No buying: slice 0 deficit 4 and slice 3 deficit 1 are pure imbalance;
   // slice 1 surplus still sells 1.
   EXPECT_NEAR(cost.market_eur, -0.2, 1e-9);

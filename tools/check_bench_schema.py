@@ -124,7 +124,6 @@ REQUIRED_BY_FILE = {
         "Exhaustive(optimal)": _GAP_FIELDS + ["optimal_proven"],
         "GreedySearch": _GAP_FIELDS,
         "EvolutionaryAlgorithm": _GAP_FIELDS,
-        "Hybrid": _GAP_FIELDS,
         "BranchAndBound": _GAP_FIELDS
         + ["nodes_visited", "optimal_proven", "nodes_vs_combinations_pct"],
         "Portfolio": _GAP_FIELDS + ["portfolio_regret_eur", "optimal_proven"],
