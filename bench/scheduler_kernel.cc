@@ -8,9 +8,10 @@
 //     schedule. Kernel path: EvaluateInto() on a pooled workspace.
 //   trymove-scan: the greedy's candidate scan — every (start, fill) of an
 //     offer evaluated against the incumbent. Old path: AoS TryMove
-//     recomputing slice energies per candidate. Kernel path:
-//     TryMoveWithEnergies() with per-(offer, fill) energy vectors computed
-//     once and slid across starts.
+//     recomputing slice energies per candidate. Kernel path: one
+//     ScanMoves() call per offer, the scan GreedyScheduler runs — the
+//     offer's removal residuals, leave-only slice terms and per-fill
+//     energies are computed once and every candidate's delta in one pass.
 //
 // Emits BENCH_scheduler_kernel.json with evaluations/sec per path and size
 // plus the kernel/reference speedups (acceptance: >= 3x child-evaluate,
@@ -134,33 +135,25 @@ PathResult TryMoveScanReference(const SchedulingProblem& p, int reps) {
 PathResult TryMoveScanKernel(const SchedulingProblem& p, int reps) {
   CompiledProblem cp(p);
   ScheduleWorkspace ws(cp);
-  const size_t dur_cap = static_cast<size_t>(cp.max_duration);
   const size_t num_fills = std::size(kFills);
-  std::vector<double> e_cur(dur_cap);
-  std::vector<double> e_fill(num_fills * dur_cap);
+  std::vector<flexoffer::TimeSlice> starts;
+  starts.reserve(kMaxStartCandidates);
+  std::vector<double> deltas(kMaxStartCandidates * num_fills);
   PathResult r;
   Stopwatch watch;
   for (int rep = 0; rep < reps; ++rep) {
     for (size_t i = 0; i < cp.num_offers; ++i) {
-      const size_t dur = static_cast<size_t>(cp.duration[i]);
-      ws.ComputeEnergies(cp, i, ws.fill(i), e_cur);
-      for (size_t f = 0; f < num_fills; ++f) {
-        ws.ComputeEnergies(cp, i, kFills[f],
-                           {e_fill.data() + f * dur_cap, dur_cap});
-      }
       int64_t window = cp.latest_start[i] - cp.earliest_start[i];
       int64_t step_count = std::min<int64_t>(window, kMaxStartCandidates - 1);
+      starts.clear();
       for (int64_t c = 0; c <= step_count; ++c) {
-        flexoffer::TimeSlice start =
-            cp.earliest_start[i] +
-            (step_count == 0 ? 0 : window * c / step_count);
-        for (size_t f = 0; f < num_fills; ++f) {
-          std::span<const double> cur{e_cur.data(), dur};
-          std::span<const double> cand{e_fill.data() + f * dur_cap, dur};
-          r.sink += ws.TryMoveWithEnergies(cp, i, start, cur, cand);
-          r.evals += 1.0;
-        }
+        starts.push_back(cp.earliest_start[i] +
+                         (step_count == 0 ? 0 : window * c / step_count));
       }
+      std::span<double> out(deltas.data(), starts.size() * num_fills);
+      ws.ScanMoves(cp, i, starts, kFills, out);
+      for (double delta : out) r.sink += delta;
+      r.evals += static_cast<double>(out.size());
     }
   }
   r.wall_s = watch.ElapsedSeconds();

@@ -8,6 +8,16 @@ namespace mirabel::scheduling {
 
 using flexoffer::TimeSlice;
 
+namespace {
+
+/// Fills ScanMoves advances side by side: one accumulator each, so the
+/// independent add chains of a chunk overlap. Longer fill lists are scanned
+/// chunk by chunk, which cannot change any delta (each fill's chain is its
+/// own).
+constexpr size_t kScanFillChunk = 4;
+
+}  // namespace
+
 CompiledProblem::CompiledProblem(const SchedulingProblem& problem)
     : horizon_start(problem.horizon_start),
       horizon_length(problem.horizon_length),
@@ -54,8 +64,12 @@ ScheduleWorkspace::ScheduleWorkspace(const CompiledProblem& cp) {
   slice_imbalance_eur_.resize(h);
   slice_market_eur_.resize(h);
   slice_cost_eur_.resize(h);
-  e_cur_scratch_.resize(static_cast<size_t>(cp.max_duration));
-  e_new_scratch_.resize(static_cast<size_t>(cp.max_duration));
+  const size_t dur_cap = static_cast<size_t>(cp.max_duration);
+  abs_cur_scratch_.resize(dur_cap);
+  removal_scratch_.resize(dur_cap);
+  leave_delta_scratch_.resize(dur_cap);
+  e_new_scratch_.resize(kScanFillChunk * dur_cap);
+  activation_scratch_.resize(kScanFillChunk * dur_cap);
   ResetToDefault(cp);
 }
 
@@ -128,7 +142,7 @@ Result<double> ScheduleWorkspace::EvaluateInto(const CompiledProblem& cp,
   }
   RecomputeNet(cp);
   // One fused sweep produces the total; the per-slice caches are left stale
-  // and refreshed lazily by the next TryMove / ApplyMove / Cost, so a pooled
+  // and refreshed lazily by the next ScanMoves / ApplyMove / Cost, so a pooled
   // child-evaluation workspace never pays for them. The accumulators and
   // their order match the pre-kernel Cost() sweep exactly.
   costs_dirty_ = true;
@@ -166,32 +180,6 @@ void ScheduleWorkspace::Accumulate(const CompiledProblem& cp, size_t i,
     net_kwh_[s0 + static_cast<size_t>(j)] += sign * e;
     flex_activation_eur_ += sign * unit * std::fabs(e);
   }
-}
-
-double SliceResidualCost(const CompiledProblem& cp, size_t s,
-                         double residual) {
-  const double penalty = cp.penalty_eur[s];
-  if (residual > 0.0) {
-    const double price = cp.buy_price_eur[s];
-    double bought = 0.0;
-    if (price < penalty) {
-      bought = std::min(residual, cp.max_buy_kwh);
-    }
-    return bought * price + (residual - bought) * penalty;
-  }
-  if (residual < 0.0) {
-    const double price = cp.sell_price_eur[s];
-    double surplus = -residual;
-    double sold =
-        price >= 0.0 ? std::min(surplus, cp.max_sell_kwh) : 0.0;
-    return -sold * price + (surplus - sold) * penalty;
-  }
-  return 0.0;
-}
-
-double ScheduleWorkspace::SliceCostAt(const CompiledProblem& cp, size_t s,
-                                      double residual) const {
-  return SliceResidualCost(cp, s, residual);
 }
 
 void ScheduleWorkspace::RefreshSliceCost(const CompiledProblem& cp,
@@ -251,63 +239,167 @@ void ScheduleWorkspace::Recompute(const CompiledProblem& cp) {
   RefreshAllSliceCosts(cp);
 }
 
-void ScheduleWorkspace::ComputeEnergies(const CompiledProblem& cp, size_t i,
-                                        double fill,
-                                        std::span<double> out) const {
+namespace {
+
+/// One ScanMoves chunk's read-only inputs. Offer i currently covers slices
+/// [cur, cur + dur); profile position j of the chunk's fill f has energy
+/// e_new[f * dur + j] and activation term activation[f * dur + j]. Every span
+/// is cut to its exact length, so a checked build (_GLIBCXX_ASSERTIONS)
+/// traps a run that strays past its segment even inside the scratch's
+/// capacity.
+struct MoveScan {
+  const CompiledProblem& cp;
+  std::span<const double> net;
+  std::span<const double> slice_cost;
+  std::span<const double> removal;      // net[cur + j] - e_cur[j]
+  std::span<const double> leave_delta;  // slice cur + j losing e_cur[j]
+  std::span<const double> e_new;
+  std::span<const double> activation;
+  size_t cur;
+  size_t dur;
+};
+
+/// Deltas of every start in `starts` for the N fills of one chunk, written to
+/// deltas[c * stride + first_fill + f]. Each candidate's union of footprints
+/// is walked in ascending slice order as runs of slices the offer only
+/// leaves, slices both footprints cover and slices it only enters; the gap
+/// between disjoint footprints holds no term and is not walked. A term is
+/// added exactly where, and as, the single-move delta adds it, pricing a
+/// residual only where it differs from net:
+///   leave only:  net - e_cur, priced once per call (leave_delta)
+///   both:        (net - e_cur) + e_new
+///   enter only:  net + e_new
+/// followed by the activation terms in profile order.
+template <size_t N>
+void ScanChunk(const MoveScan& m, std::span<const TimeSlice> starts,
+               size_t first_fill, size_t stride, std::span<double> deltas) {
+  const size_t dur = m.dur;
+  for (size_t c = 0; c < starts.size(); ++c) {
+    const size_t next = static_cast<size_t>(starts[c] - m.cp.horizon_start);
+    double acc[N] = {};
+    auto leave = [&](size_t j0, size_t j1) {
+      for (size_t j = j0; j < j1; ++j) {
+        const double d = m.leave_delta[j];
+        for (size_t f = 0; f < N; ++f) acc[f] += d;
+      }
+    };
+    auto both = [&](size_t j_cur, size_t j_new, size_t len) {
+      for (size_t k = 0; k < len; ++k) {
+        const size_t s = m.cur + j_cur + k;
+        const double before = m.net[s];
+        const double removed = m.removal[j_cur + k];
+        for (size_t f = 0; f < N; ++f) {
+          const double after = removed + m.e_new[f * dur + j_new + k];
+          if (after != before) {
+            acc[f] += SliceResidualCost(m.cp, s, after) - m.slice_cost[s];
+          }
+        }
+      }
+    };
+    auto enter = [&](size_t j0, size_t j1) {
+      for (size_t j = j0; j < j1; ++j) {
+        const size_t s = next + j;
+        const double before = m.net[s];
+        for (size_t f = 0; f < N; ++f) {
+          const double after = before + m.e_new[f * dur + j];
+          if (after != before) {
+            acc[f] += SliceResidualCost(m.cp, s, after) - m.slice_cost[s];
+          }
+        }
+      }
+    };
+    if (next + dur <= m.cur) {
+      enter(0, dur);
+      leave(0, dur);
+    } else if (next < m.cur) {
+      const size_t shift = m.cur - next;
+      enter(0, shift);
+      both(0, shift, dur - shift);
+      leave(dur - shift, dur);
+    } else if (next < m.cur + dur) {
+      const size_t shift = next - m.cur;
+      leave(0, shift);
+      both(shift, 0, dur - shift);
+      enter(dur - shift, dur);
+    } else {
+      leave(0, dur);
+      enter(0, dur);
+    }
+    for (size_t j = 0; j < dur; ++j) {
+      for (size_t f = 0; f < N; ++f) acc[f] += m.activation[f * dur + j];
+    }
+    for (size_t f = 0; f < N; ++f) deltas[c * stride + first_fill + f] = acc[f];
+  }
+}
+
+}  // namespace
+
+void ScheduleWorkspace::ScanMoves(const CompiledProblem& cp, size_t i,
+                                  std::span<const TimeSlice> starts,
+                                  std::span<const double> fills,
+                                  std::span<double> deltas) const {
+  EnsureSliceCosts(cp);
   const size_t base = cp.profile_offset[i];
-  const int64_t dur = cp.duration[i];
-  for (int64_t j = 0; j < dur; ++j) {
-    out[static_cast<size_t>(j)] =
-        cp.min_kwh[base + static_cast<size_t>(j)] +
-        fill * cp.flex_kwh[base + static_cast<size_t>(j)];
+  const size_t dur = static_cast<size_t>(cp.duration[i]);
+  const size_t cur = static_cast<size_t>(starts_[i] - cp.horizon_start);
+  const double fill_cur = fills_[i];
+  for (size_t j = 0; j < dur; ++j) {
+    const double e = cp.min_kwh[base + j] + fill_cur * cp.flex_kwh[base + j];
+    const size_t s = cur + j;
+    const double before = net_kwh_[s];
+    const double after = before - e;
+    abs_cur_scratch_[j] = std::fabs(e);
+    removal_scratch_[j] = after;
+    // +0.0 stands in for a skipped term: an accumulator that starts at +0.0
+    // never holds -0.0, and adding +0.0 to anything else keeps its bits.
+    leave_delta_scratch_[j] =
+        after != before ? SliceResidualCost(cp, s, after) - slice_cost_eur_[s]
+                        : 0.0;
+  }
+
+  const double unit = cp.unit_price_eur[i];
+  for (size_t first = 0; first < fills.size(); first += kScanFillChunk) {
+    const size_t width = std::min(kScanFillChunk, fills.size() - first);
+    const MoveScan m{cp,
+                     net_kwh_,
+                     slice_cost_eur_,
+                     std::span<const double>(removal_scratch_).first(dur),
+                     std::span<const double>(leave_delta_scratch_).first(dur),
+                     std::span<const double>(e_new_scratch_).first(width * dur),
+                     std::span<const double>(activation_scratch_)
+                         .first(width * dur),
+                     cur,
+                     dur};
+    for (size_t f = 0; f < width; ++f) {
+      const double fill = fills[first + f];
+      for (size_t j = 0; j < dur; ++j) {
+        const double e = cp.min_kwh[base + j] + fill * cp.flex_kwh[base + j];
+        e_new_scratch_[f * dur + j] = e;
+        activation_scratch_[f * dur + j] =
+            unit * (std::fabs(e) - abs_cur_scratch_[j]);
+      }
+    }
+    switch (width) {
+      case 1:
+        ScanChunk<1>(m, starts, first, fills.size(), deltas);
+        break;
+      case 2:
+        ScanChunk<2>(m, starts, first, fills.size(), deltas);
+        break;
+      case 3:
+        ScanChunk<3>(m, starts, first, fills.size(), deltas);
+        break;
+      default:
+        ScanChunk<kScanFillChunk>(m, starts, first, fills.size(), deltas);
+        break;
+    }
   }
 }
 
 double ScheduleWorkspace::TryMove(const CompiledProblem& cp, size_t i,
                                   TimeSlice start, double fill) const {
-  ComputeEnergies(cp, i, fills_[i], e_cur_scratch_);
-  ComputeEnergies(cp, i, fill, e_new_scratch_);
-  return TryMoveWithEnergies(cp, i, start, e_cur_scratch_, e_new_scratch_);
-}
-
-double ScheduleWorkspace::TryMoveWithEnergies(
-    const CompiledProblem& cp, size_t i, TimeSlice start,
-    std::span<const double> e_cur, std::span<const double> e_new) const {
-  EnsureSliceCosts(cp);
-  const int64_t dur = cp.duration[i];
-  const TimeSlice cur_start = starts_[i];
   double delta = 0.0;
-
-  // Per-slice cost deltas over the union of the two footprints. `before` is
-  // charged from the slice-cost cache; `after` is the closed-form market
-  // response to the shifted residual.
-  const TimeSlice lo = std::min(cur_start, start);
-  const TimeSlice hi = std::max(cur_start, start) + dur;
-  for (TimeSlice t = lo; t < hi; ++t) {
-    size_t s = static_cast<size_t>(t - cp.horizon_start);
-    double before = net_kwh_[s];
-    double after = before;
-    int64_t j_cur = t - cur_start;
-    if (j_cur >= 0 && j_cur < dur) {
-      after -= e_cur[static_cast<size_t>(j_cur)];
-    }
-    int64_t j_new = t - start;
-    if (j_new >= 0 && j_new < dur) {
-      after += e_new[static_cast<size_t>(j_new)];
-    }
-    if (after != before) {
-      delta += SliceCostAt(cp, s, after) - CachedSliceCost(s);
-    }
-  }
-
-  // Activation-cost delta, term by term in profile order (kept as a per-slice
-  // sum rather than a hoisted per-fill constant so the accumulation order —
-  // and therefore the bits — match the pre-kernel evaluator).
-  const double unit = cp.unit_price_eur[i];
-  for (int64_t j = 0; j < dur; ++j) {
-    delta += unit * (std::fabs(e_new[static_cast<size_t>(j)]) -
-                     std::fabs(e_cur[static_cast<size_t>(j)]));
-  }
+  ScanMoves(cp, i, {&start, 1}, {&fill, 1}, {&delta, 1});
   return delta;
 }
 
@@ -352,8 +444,10 @@ ScheduleWorkspace::ExportScheduledOffers(const CompiledProblem& cp) const {
     flexoffer::ScheduledFlexOffer s;
     s.offer_id = cp.source->offers[i].id;
     s.start = starts_[i];
-    s.energies_kwh.resize(static_cast<size_t>(cp.duration[i]));
-    ComputeEnergies(cp, i, fills_[i], s.energies_kwh);
+    s.energies_kwh.reserve(static_cast<size_t>(cp.duration[i]));
+    for (int64_t j = 0; j < cp.duration[i]; ++j) {
+      s.energies_kwh.push_back(cp.SliceEnergy(i, j, fills_[i]));
+    }
     out.push_back(std::move(s));
   }
   return out;

@@ -1,6 +1,7 @@
 #ifndef MIRABEL_SCHEDULING_COMPILED_PROBLEM_H_
 #define MIRABEL_SCHEDULING_COMPILED_PROBLEM_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -79,7 +80,27 @@ struct CompiledProblem {
 /// residuals without a workspace. As a function of `residual` it is convex
 /// piecewise-linear with breakpoints at -max_sell_kwh, 0 and max_buy_kwh
 /// (for the usual price ordering sell <= buy <= penalty).
-double SliceResidualCost(const CompiledProblem& cp, size_t s, double residual);
+/// Defined inline so the candidate scan's hot loop can inline it.
+inline double SliceResidualCost(const CompiledProblem& cp, size_t s,
+                                double residual) {
+  const double penalty = cp.penalty_eur[s];
+  if (residual > 0.0) {
+    const double price = cp.buy_price_eur[s];
+    double bought = 0.0;
+    if (price < penalty) {
+      bought = std::min(residual, cp.max_buy_kwh);
+    }
+    return bought * price + (residual - bought) * penalty;
+  }
+  if (residual < 0.0) {
+    const double price = cp.sell_price_eur[s];
+    double surplus = -residual;
+    double sold =
+        price >= 0.0 ? std::min(surplus, cp.max_sell_kwh) : 0.0;
+    return -sold * price + (surplus - sold) * penalty;
+  }
+  return 0.0;
+}
 
 /// Always false: the kernel has no ISA-dispatched code path. The
 /// benchmark's run record (perfbench/src/main.cc) still reports it.
@@ -87,7 +108,7 @@ inline bool FastKernelUsesAvx2() { return false; }
 
 /// The mutable half of the kernel: one candidate schedule plus every derived
 /// quantity the cost model needs, with all buffers allocated up front so the
-/// steady-state evaluate / TryMove / ApplyMove loop performs zero heap
+/// steady-state evaluate / ScanMoves / ApplyMove loop performs zero heap
 /// allocations (asserted by tests/scheduling_kernel_test.cc with a counting
 /// global operator new).
 ///
@@ -97,8 +118,9 @@ inline bool FastKernelUsesAvx2() { return false; }
 ///   slice_market_eur[s]    signed market cash flow of the slice
 /// plus the running flex-activation total. The per-slice caches are pure
 /// functions of net_kwh[s], refreshed whenever a slice's net load changes, so
-/// Cost() is a branch-free sum and TryMove charges each touched slice's
-/// *current* cost from the cache instead of recomputing it per candidate.
+/// Cost() is a branch-free sum and a candidate scan charges each touched
+/// slice's *current* cost from the cache instead of recomputing it per
+/// candidate.
 ///
 /// Every arithmetic expression matches the pre-kernel evaluator term for
 /// term and in evaluation order, so schedules, costs and deltas are
@@ -130,21 +152,25 @@ class ScheduleWorkspace {
   Result<double> EvaluateInto(const CompiledProblem& cp,
                               const Schedule& schedule);
 
-  /// Cost delta of moving offer `i` to (start, fill), leaving state
-  /// untouched. The candidate must be feasible (validated by the caller /
-  /// candidate generator). Computes both energy vectors into scratch.
+  /// Cost deltas of moving offer `i` to every (start, fill) candidate,
+  /// leaving state untouched: `deltas[c * fills.size() + f]` is the delta of
+  /// (starts[c], fills[f]). Every candidate must be feasible (validated by
+  /// the caller / candidate generator) and `deltas` must hold
+  /// starts.size() * fills.size() entries. Each delta is bit-identical to the
+  /// pre-kernel single-move delta: the same terms by the same expressions in
+  /// the same order (union slices ascending, then activation terms by profile
+  /// position). Only the work that no candidate changes is shared, once per
+  /// call: the removal residuals net - e_cur, the cost terms of slices the
+  /// offer would only leave, and the per-fill energies and activation terms.
+  void ScanMoves(const CompiledProblem& cp, size_t i,
+                 std::span<const flexoffer::TimeSlice> starts,
+                 std::span<const double> fills,
+                 std::span<double> deltas) const;
+
+  /// Cost delta of moving offer `i` to (start, fill): the one-start,
+  /// one-fill case of ScanMoves.
   double TryMove(const CompiledProblem& cp, size_t i,
                  flexoffer::TimeSlice start, double fill) const;
-
-  /// TryMove with caller-cached energy vectors: `e_cur` are the slice
-  /// energies of offer i under its current assignment, `e_new` under the
-  /// candidate fill (both length duration[i]). The greedy scan computes each
-  /// per-(offer, fill) vector once and slides it across all start
-  /// candidates.
-  double TryMoveWithEnergies(const CompiledProblem& cp, size_t i,
-                             flexoffer::TimeSlice start,
-                             std::span<const double> e_cur,
-                             std::span<const double> e_new) const;
 
   /// Applies a feasible move and refreshes the touched slice caches.
   void ApplyMove(const CompiledProblem& cp, size_t i,
@@ -161,11 +187,6 @@ class ScheduleWorkspace {
   /// (ids from cp.source). Cold path; allocates the result.
   std::vector<flexoffer::ScheduledFlexOffer> ExportScheduledOffers(
       const CompiledProblem& cp) const;
-
-  /// Writes the slice energies of offer `i` under `fill` into `out`
-  /// (length >= duration[i]).
-  void ComputeEnergies(const CompiledProblem& cp, size_t i, double fill,
-                       std::span<double> out) const;
 
   flexoffer::TimeSlice start(size_t i) const { return starts_[i]; }
   double fill(size_t i) const { return fills_[i]; }
@@ -199,18 +220,6 @@ class ScheduleWorkspace {
   /// net_kwh[s]. Exactly the pre-kernel Cost() per-slice branch.
   void RefreshSliceCost(const CompiledProblem& cp, size_t s) const;
 
-  /// Combined cost of slice s if its residual were `residual` (the
-  /// pre-kernel SliceCost, market term first).
-  double SliceCostAt(const CompiledProblem& cp, size_t s,
-                     double residual) const;
-
-  /// Cached combined cost of slice s at its current residual. Stored as its
-  /// own array (not slice_market + slice_imbalance) so the value carries the
-  /// same expression shape as SliceCostAt — on targets where the compiler
-  /// contracts a*b + c*d into an FMA, summing the two cached halves would
-  /// differ in the last ulp.
-  double CachedSliceCost(size_t s) const { return slice_cost_eur_[s]; }
-
   /// Full recompute from the current starts_/fills_ arrays.
   void Recompute(const CompiledProblem& cp);
 
@@ -223,12 +232,23 @@ class ScheduleWorkspace {
   /// them. Mutable for exactly that lazy refresh.
   mutable std::vector<double> slice_imbalance_eur_;
   mutable std::vector<double> slice_market_eur_;
+  /// Combined cost of each slice at its current residual. Stored as its own
+  /// array (not slice_market + slice_imbalance) so the value carries the
+  /// same expression shape as SliceResidualCost — on targets where the
+  /// compiler contracts a*b + c*d into an FMA, summing the two cached halves
+  /// would differ in the last ulp.
   mutable std::vector<double> slice_cost_eur_;
   mutable bool costs_dirty_ = false;
   double flex_activation_eur_ = 0.0;
-  /// Scratch for the energy vectors of TryMove's uncached entry point.
-  mutable std::vector<double> e_cur_scratch_;
+  /// ScanMoves scratch, sized once from cp.max_duration: per profile
+  /// position j of the scanned offer, |e_cur[j]|, the removal residual
+  /// net - e_cur and the cost delta of leaving that slice; per fill of one
+  /// chunk, the candidate energies and activation terms.
+  mutable std::vector<double> abs_cur_scratch_;
+  mutable std::vector<double> removal_scratch_;
+  mutable std::vector<double> leave_delta_scratch_;
   mutable std::vector<double> e_new_scratch_;
+  mutable std::vector<double> activation_scratch_;
 };
 
 }  // namespace mirabel::scheduling

@@ -83,9 +83,9 @@ Result<SchedulingResult> GreedyScheduler::RunCompiled(
   }
 
   // All buffers of the steady-state scan are sized here, before the loop:
-  // per-offer start candidates, the current-assignment energy vector, one
-  // energy vector per fill candidate, and the restart assignment arrays.
-  // The scan itself performs no heap allocations.
+  // per-offer start candidates, one delta per (start, fill) candidate of the
+  // widest candidate list, and the restart assignment arrays. The scan
+  // itself performs no heap allocations.
   const StartCandidateTable candidates(cp, config_.max_start_candidates);
   // The kernel scan applies candidates unchecked, so infeasible configured
   // fills are dropped here once — the pre-kernel path rejected them per
@@ -96,9 +96,11 @@ Result<SchedulingResult> GreedyScheduler::RunCompiled(
     if (fill >= 0.0 && fill <= 1.0) fill_candidates.push_back(fill);
   }
   const size_t num_fills = fill_candidates.size();
-  const size_t dur_cap = static_cast<size_t>(cp.max_duration);
-  std::vector<double> e_cur(dur_cap);
-  std::vector<double> e_fill(num_fills * dur_cap);
+  size_t max_starts = 0;
+  for (size_t i = 0; i < cp.num_offers; ++i) {
+    max_starts = std::max(max_starts, candidates.of(i).size());
+  }
+  std::vector<double> deltas(max_starts * num_fills);
   std::vector<TimeSlice> restart_starts(cp.num_offers);
   std::vector<double> restart_fills(cp.num_offers);
 
@@ -124,28 +126,21 @@ Result<SchedulingResult> GreedyScheduler::RunCompiled(
     bool improved_any = false;
     for (size_t index : order) {
       if (out_of_budget()) break;
-      const int64_t dur = cp.duration[index];
-      std::span<const double> cur{e_cur.data(), static_cast<size_t>(dur)};
-      ws.ComputeEnergies(cp, index, ws.fill(index), e_cur);
-      for (size_t f = 0; f < num_fills; ++f) {
-        ws.ComputeEnergies(cp, index, fill_candidates[f],
-                           {e_fill.data() + f * dur_cap, dur_cap});
-      }
+      const std::span<const TimeSlice> starts = candidates.of(index);
+      ws.ScanMoves(cp, index, starts, fill_candidates,
+                   std::span<double>(deltas).first(starts.size() * num_fills));
       TimeSlice best_start = ws.start(index);
       double best_fill = ws.fill(index);
       double best_delta = 0.0;
       // Same candidate order as the pre-kernel scan (starts outer, fills
       // inner) so tie-breaking — first candidate past the 1e-12 margin wins
-      // — is unchanged. The energy vectors above are computed once per
-      // (offer, fill) and reused across every start.
-      for (TimeSlice start : candidates.of(index)) {
+      // — is unchanged.
+      for (size_t c = 0; c < starts.size(); ++c) {
         for (size_t f = 0; f < num_fills; ++f) {
-          std::span<const double> e_new{e_fill.data() + f * dur_cap,
-                                        static_cast<size_t>(dur)};
-          double delta = ws.TryMoveWithEnergies(cp, index, start, cur, e_new);
+          const double delta = deltas[c * num_fills + f];
           if (delta < best_delta - 1e-12) {
             best_delta = delta;
-            best_start = start;
+            best_start = starts[c];
             best_fill = fill_candidates[f];
           }
         }

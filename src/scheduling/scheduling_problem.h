@@ -49,7 +49,9 @@ struct SchedulingProblem {
   /// window must lie inside the horizon.
   std::vector<flexoffer::FlexOffer> offers;
 
-  /// Structural validation of the problem instance.
+  /// Structural validation of the problem instance: per-slice vectors of
+  /// horizon_length finite values, non-negative (possibly infinite) market
+  /// caps, and valid offers whose windows fit the horizon.
   Status Validate() const;
 };
 

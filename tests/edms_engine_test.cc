@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -217,6 +218,39 @@ TEST(EdmsEngineTest, UnboundedSchedulerBudgetFailsTheGateAndExpiresOffers) {
   }
   EXPECT_EQ(engine.stats().scheduling_runs, 0);
   EXPECT_EQ(engine.stats().offers_expired_in_pipeline, 3);
+}
+
+TEST(EdmsEngineTest, NonFiniteBaselineFailsTheGateAndExpiresOffers) {
+  // One NaN forecast slice inside the gate's horizon: the problem fails
+  // validation instead of pricing that slice at zero and turning the
+  // imbalance stats into NaN, and every offer the gate claimed is closed
+  // exactly once through the scheduling-failure path.
+  EdmsEngine::Config cfg = DeterministicConfig();
+  std::vector<double> baseline(960, 5.0);
+  baseline[40] = std::numeric_limits<double>::quiet_NaN();
+  cfg.baseline = std::make_shared<VectorBaselineProvider>(std::move(baseline));
+  EdmsEngine engine(cfg);
+  std::vector<FlexOffer> offers = ThreeOffers();
+  ASSERT_TRUE(engine.SubmitOffers(offers, 0).ok());
+  (void)engine.PollEvents();
+
+  EXPECT_EQ(engine.Advance(0).code(), StatusCode::kInvalidArgument);
+
+  std::map<flexoffer::FlexOfferId, int> expired;
+  for (const Event& event : engine.PollEvents()) {
+    const auto* e = std::get_if<OfferExpired>(&event);
+    ASSERT_NE(e, nullptr) << EventName(event);
+    ++expired[e->offer];
+  }
+  ASSERT_EQ(expired.size(), offers.size());
+  for (const FlexOffer& fo : offers) {
+    EXPECT_EQ(expired[fo.id], 1) << "offer " << fo.id;
+    EXPECT_EQ(*engine.lifecycle().StateOf(fo.id), OfferState::kExpired);
+  }
+  EXPECT_EQ(engine.stats().scheduling_runs, 0);
+  EXPECT_EQ(engine.stats().offers_expired_in_pipeline, 3);
+  EXPECT_EQ(engine.stats().imbalance_before_kwh, 0.0);
+  EXPECT_EQ(engine.stats().imbalance_after_kwh, 0.0);
 }
 
 TEST(EdmsEngineTest, ForwardingModePublishesAndCompletesMacros) {

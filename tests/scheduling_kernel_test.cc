@@ -4,23 +4,27 @@
 //  1. Across hundreds of randomized problems and moves, kernel TryMove
 //     deltas and EvaluateInto totals match a naive full recomputation
 //     within 1e-9 (relative), and match the preserved pre-kernel
-//     implementation (ReferenceCostEvaluator) bit for bit.
+//     implementation (ReferenceCostEvaluator) bit for bit; so does every
+//     delta of a batched ScanMoves candidate scan.
 //  2. The greedy, EA and exhaustive schedulers, rewired onto the kernel,
 //     produce bit-identical SchedulingResults to the pre-kernel
 //     implementations (reimplemented here verbatim over
 //     ReferenceCostEvaluator) for fixed seeds under max_iterations budgets.
-//  3. The steady-state evaluate / TryMove / ApplyMove loop performs zero
-//     heap allocations, asserted with a counting global operator new.
+//  3. The steady-state evaluate / ScanMoves / TryMove / ApplyMove loop
+//     performs zero heap allocations, asserted with a counting global
+//     operator new.
 #include "scheduling/compiled_problem.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <cstdlib>
 #include <new>
 #include <numeric>
+#include <span>
 #include <vector>
 
 #include "common/math_util.h"
@@ -495,6 +499,121 @@ SchedulingResult Exhaustive(const SchedulingProblem& problem) {
 
 }  // namespace reference
 
+// ---------------------------------------------------------------------------
+// Property 1b: one ScanMoves call per offer == one reference TryMove per
+// (start, fill) candidate, bit for bit, over the shapes the segmented walk
+// distinguishes.
+// ---------------------------------------------------------------------------
+
+TEST(SchedulingKernelPropertyTest, BatchScanMatchesReferencePerCandidate) {
+  Rng rng(123);
+  const GreedyScheduler::Config greedy_config;
+  int problems = 0;
+  int64_t candidates = 0;
+  int64_t disjoint = 0;
+  int64_t overlapping = 0;
+  int64_t subsampled_offers = 0;
+  int64_t production_scans = 0;
+  int64_t rigid_problems = 0;
+  std::vector<int64_t> scans_by_fill_count(12, 0);
+  for (int it = 0; it < 120; ++it) {
+    ScenarioConfig cfg = RandomScenarioConfig(&rng, 5000 + it);
+    if (it % 3 == 0) {
+      // Windows wider than the 64-candidate cap: starts are subsampled and
+      // no longer contiguous.
+      cfg.horizon_length = static_cast<int>(rng.UniformInt(120, 240));
+      cfg.max_time_flexibility = static_cast<int>(rng.UniformInt(65, 200));
+    }
+    if (it % 4 == 1) cfg.production_fraction = 0.5;
+    if (it % 7 == 2) cfg.no_energy_flexibility = true;
+    SchedulingProblem p = MakeScenario(cfg);
+    ASSERT_TRUE(p.Validate().ok());
+    ++problems;
+    if (cfg.no_energy_flexibility) ++rigid_problems;
+
+    CompiledProblem cp(p);
+    ScheduleWorkspace ws(cp);
+    ReferenceCostEvaluator ref(p);
+    // Leave the default schedule, so current fills and starts vary.
+    for (int move = 0; move < 8; ++move) {
+      size_t index = rng.Index(p.offers.size());
+      OfferAssignment a = RandomAssignment(p.offers[index], &rng);
+      ws.ApplyMove(cp, index, a.start, a.fill);
+      ASSERT_TRUE(ref.ApplyMove(index, a).ok());
+    }
+
+    for (int scan = 0; scan < 6; ++scan) {
+      const size_t index = rng.Index(p.offers.size());
+      const flexoffer::FlexOffer& fo = p.offers[index];
+      std::vector<TimeSlice> starts = reference::StartCandidates(
+          fo, greedy_config.max_start_candidates);
+      if (fo.TimeFlexibility() >= greedy_config.max_start_candidates) {
+        ++subsampled_offers;
+      }
+      // Fill lists of 1, 3 and 9-11 entries: every fill-chunk width.
+      std::vector<double> fills;
+      switch (scan % 3) {
+        case 0:
+          fills = {rng.NextDouble()};
+          break;
+        case 1:
+          fills = greedy_config.fill_candidates;
+          break;
+        default: {
+          const int n = 9 + static_cast<int>(rng.UniformInt(0, 2));
+          fills = {0.0, 1.0};
+          while (static_cast<int>(fills.size()) < n) {
+            fills.push_back(rng.NextDouble());
+          }
+          break;
+        }
+      }
+      ++scans_by_fill_count[fills.size()];
+      if (fo.profile[0].max_kwh < 0.0) ++production_scans;
+
+      std::vector<double> deltas(starts.size() * fills.size());
+      ws.ScanMoves(cp, index, starts, fills, deltas);
+      const TimeSlice cur = ws.start(index);
+      for (size_t c = 0; c < starts.size(); ++c) {
+        const int64_t shift =
+            starts[c] > cur ? starts[c] - cur : cur - starts[c];
+        if (shift >= fo.Duration()) {
+          ++disjoint;
+        } else {
+          ++overlapping;
+        }
+        for (size_t f = 0; f < fills.size(); ++f) {
+          auto want = ref.TryMove(index, {starts[c], fills[f]});
+          ASSERT_TRUE(want.ok());
+          const double got = deltas[c * fills.size() + f];
+          EXPECT_EQ(std::bit_cast<uint64_t>(got),
+                    std::bit_cast<uint64_t>(*want))
+              << "offer " << index << " start " << starts[c] << " fill "
+              << fills[f] << ": " << got << " vs " << *want;
+          ++candidates;
+        }
+      }
+      // TryMove is the one-candidate case of the same scan.
+      const double single =
+          ws.TryMove(cp, index, starts.back(), fills.back());
+      EXPECT_EQ(std::bit_cast<uint64_t>(single),
+                std::bit_cast<uint64_t>(deltas.back()));
+    }
+  }
+  EXPECT_GE(problems, 100);
+  EXPECT_GT(candidates, 50000);
+  EXPECT_GT(disjoint, 1000);
+  EXPECT_GT(overlapping, 1000);
+  EXPECT_GT(subsampled_offers, 20);
+  EXPECT_GT(production_scans, 20);
+  EXPECT_GT(rigid_problems, 10);
+  EXPECT_GT(scans_by_fill_count[1], 0);
+  EXPECT_GT(scans_by_fill_count[3], 0);
+  EXPECT_GT(scans_by_fill_count[9] + scans_by_fill_count[10] +
+                scans_by_fill_count[11],
+            0);
+}
+
 void ExpectBitIdentical(const SchedulingResult& got,
                         const SchedulingResult& want) {
   ASSERT_EQ(got.schedule.assignments.size(), want.schedule.assignments.size());
@@ -539,6 +658,22 @@ TEST(SchedulerBitIdentityTest, GreedyMatchesPreKernelImplementation) {
         reference::Greedy(problem, options, GreedyScheduler::Config());
     ExpectBitIdentical(*got, want);
   }
+  // Windows wider than the start-candidate cap (subsampled, non-contiguous
+  // starts) and a 9-entry fill list, wider than one scan chunk.
+  ScenarioConfig cfg;
+  cfg.num_offers = 30;
+  cfg.horizon_length = 192;
+  cfg.max_time_flexibility = 150;
+  cfg.production_fraction = 0.4;
+  cfg.seed = 91;
+  SchedulingProblem problem = MakeScenario(cfg);
+  SchedulerOptions options = IterBudget(120, 17);
+  GreedyScheduler::Config config;
+  config.fill_candidates = {0.0, 0.1, 0.2, 0.35, 0.5, 0.65, 0.8, 0.9, 1.0};
+  auto got = GreedyScheduler(config).Run(problem, options);
+  ASSERT_TRUE(got.ok());
+  SchedulingResult want = reference::Greedy(problem, options, config);
+  ExpectBitIdentical(*got, want);
 }
 
 TEST(SchedulerBitIdentityTest, EvolutionaryMatchesPreKernelImplementation) {
@@ -658,12 +793,27 @@ TEST(SchedulingKernelAllocationTest, SteadyStateLoopDoesNotAllocate) {
     moves.push_back({index, a.start, a.fill});
   }
 
+  // A greedy-style scan buffer: every start of the widest window, 9 fills.
+  const std::vector<double> fills = {0.0, 0.1, 0.2, 0.35, 0.5,
+                                     0.65, 0.8, 0.9, 1.0};
+  std::vector<TimeSlice> starts;
+  starts.reserve(128);
+  std::vector<double> deltas(128 * fills.size());
+
   double sink = 0.0;
   const int64_t before = g_heap_allocations.load();
   // Setup above must have gone through the counting allocator, otherwise
   // the zero-delta assertion below would be vacuous.
   ASSERT_GT(before, 0);
   for (const Move& m : moves) {
+    starts.clear();
+    for (TimeSlice t = cp.earliest_start[m.index];
+         t <= cp.latest_start[m.index] && starts.size() < 128; ++t) {
+      starts.push_back(t);
+    }
+    std::span<double> out(deltas.data(), starts.size() * fills.size());
+    ws.ScanMoves(cp, m.index, starts, fills, out);
+    for (double delta : out) sink += delta;
     sink += ws.TryMove(cp, m.index, m.start, m.fill);
     ws.ApplyMove(cp, m.index, m.start, m.fill);
     auto total = pool.EvaluateInto(cp, child);

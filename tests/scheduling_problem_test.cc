@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "common/rng.h"
 #include "scheduling/compiled_problem.h"
 #include "scheduling/scenario.h"
@@ -52,6 +54,46 @@ TEST(SchedulingProblemTest, RejectsOfferOutsideHorizon) {
   SchedulingProblem p = TinyProblem();
   p.offers[0].latest_start = 3;  // profile would end at slice 5 > 4
   EXPECT_FALSE(p.Validate().ok());
+}
+
+TEST(SchedulingProblemTest, NonFiniteSliceInputsRejected) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  {
+    SchedulingProblem p = TinyProblem();
+    p.baseline_imbalance_kwh[1] = nan;
+    EXPECT_EQ(p.Validate().code(), StatusCode::kInvalidArgument);
+  }
+  {
+    SchedulingProblem p = TinyProblem();
+    p.imbalance_penalty_eur[2] = inf;
+    EXPECT_EQ(p.Validate().code(), StatusCode::kInvalidArgument);
+  }
+  {
+    SchedulingProblem p = TinyProblem();
+    p.market.buy_price_eur[0] = inf;
+    EXPECT_EQ(p.Validate().code(), StatusCode::kInvalidArgument);
+  }
+  {
+    SchedulingProblem p = TinyProblem();
+    p.market.sell_price_eur[3] = -inf;
+    EXPECT_EQ(p.Validate().code(), StatusCode::kInvalidArgument);
+  }
+  {
+    SchedulingProblem p = TinyProblem();
+    p.market.max_buy_kwh = -1.0;
+    EXPECT_EQ(p.Validate().code(), StatusCode::kInvalidArgument);
+  }
+  {
+    SchedulingProblem p = TinyProblem();
+    p.market.max_sell_kwh = nan;
+    EXPECT_EQ(p.Validate().code(), StatusCode::kInvalidArgument);
+  }
+  // Unbounded caps (the MarketAccess default) and zero caps stay valid.
+  SchedulingProblem p = TinyProblem();
+  p.market.max_buy_kwh = inf;
+  p.market.max_sell_kwh = 0.0;
+  EXPECT_TRUE(p.Validate().ok());
 }
 
 // The cost model, evaluated by the SoA kernel (CompiledProblem +
