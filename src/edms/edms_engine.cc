@@ -220,17 +220,17 @@ void EdmsEngine::ExpireDeadlines(TimeSlice now) {
   // is tolerated as a metering_failure, so there is exactly one terminal
   // event per offer.
   if (config_.execution_timeout_slices > 0) {
-    for (const auto& fact :
-         store_.FlexOffersInState(storage::FlexOfferState::kScheduled)) {
-      TimeSlice end = fact.schedule.start +
-                      static_cast<int64_t>(fact.schedule.energies_kwh.size());
-      if (end + config_.execution_timeout_slices > now) continue;
-      if (!lifecycle_.Transition(fact.id, OfferState::kExpired).ok()) continue;
-      (void)store_.TransitionFlexOffer(fact.id,
-                                       storage::FlexOfferState::kExpired);
-      ++stats_.executions_timed_out;
-      events_.Push(OfferExpired{fact.id, fact.offer.owner, now});
-    }
+    store_.VisitScheduledEndingBy(
+        now - config_.execution_timeout_slices,
+        [&](const storage::FlexOfferFact& fact) {
+          if (!lifecycle_.Transition(fact.id, OfferState::kExpired).ok()) {
+            return;
+          }
+          (void)store_.TransitionFlexOffer(fact.id,
+                                           storage::FlexOfferState::kExpired);
+          ++stats_.executions_timed_out;
+          events_.Push(OfferExpired{fact.id, fact.offer.owner, now});
+        });
   }
 }
 

@@ -116,11 +116,7 @@ void ProsumerNode::OnTick(TimeSlice now) {
   }
 
   // Execute schedules whose profile completed by now, metering the energy.
-  for (const auto& fact :
-       store_.FlexOffersInState(storage::FlexOfferState::kScheduled)) {
-    TimeSlice end = fact.schedule.start +
-                    static_cast<int64_t>(fact.schedule.energies_kwh.size());
-    if (end > now) continue;
+  store_.VisitScheduledEndingBy(now, [&](const storage::FlexOfferFact& fact) {
     (void)store_.TransitionFlexOffer(fact.id,
                                      storage::FlexOfferState::kExecuted);
     ++stats_.offers_executed;
@@ -132,17 +128,17 @@ void ProsumerNode::OnTick(TimeSlice now) {
     msg.offer_id = fact.id;
     msg.value = fact.schedule.TotalEnergy();
     (void)channel_.Send(msg);
-  }
+  });
 
   // Timed-out offers fall back to the open contract: the load runs at its
   // default profile, unmanaged.
-  for (const auto& fact : store_.ExpiredUnscheduled(now)) {
+  store_.VisitPendingDueBy(now, [&](const storage::FlexOfferFact& fact) {
     if (store_.TransitionFlexOffer(fact.id, storage::FlexOfferState::kExpired)
             .ok()) {
       ++stats_.fallbacks;
       resubmits_.erase(fact.id);
     }
-  }
+  });
 }
 
 void ProsumerNode::HandleMessage(const Message& msg) {

@@ -87,7 +87,11 @@ Status DataStore::PutFlexOffer(const flexoffer::FlexOffer& offer) {
   fact.id = offer.id;
   fact.offer = offer;
   fact.state = FlexOfferState::kOffered;
-  return flex_offers_.Insert(std::move(fact));
+  MIRABEL_RETURN_IF_ERROR(flex_offers_.Insert(std::move(fact)));
+  if (pending_.built) {
+    pending_.Push(offer.assignment_before, flex_offers_.size() - 1);
+  }
+  return Status::OK();
 }
 
 Result<const FlexOfferFact*> DataStore::FindFlexOffer(FlexOfferId id) const {
@@ -108,8 +112,9 @@ bool LegalTransition(FlexOfferState from, FlexOfferState to) {
       return to == FlexOfferState::kAggregated ||
              to == FlexOfferState::kExpired;
     case FlexOfferState::kAggregated:
-      return to == FlexOfferState::kScheduled ||
-             to == FlexOfferState::kExpired;
+      // kScheduled is entered only by AttachSchedule, which sets the
+      // schedule the metering and timeout paths read.
+      return to == FlexOfferState::kExpired;
     case FlexOfferState::kScheduled:
       return to == FlexOfferState::kExecuted ||
              to == FlexOfferState::kExpired;
@@ -134,16 +139,18 @@ Status DataStore::TransitionFlexOffer(FlexOfferId id, FlexOfferState to) {
 }
 
 Status DataStore::AttachSchedule(const flexoffer::ScheduledFlexOffer& schedule) {
-  MIRABEL_ASSIGN_OR_RETURN(FlexOfferFact * fact,
-                           flex_offers_.FindMutable(schedule.offer_id));
-  MIRABEL_RETURN_IF_ERROR(schedule.ValidateAgainst(fact->offer));
-  if (fact->state != FlexOfferState::kAccepted &&
-      fact->state != FlexOfferState::kAggregated) {
+  MIRABEL_ASSIGN_OR_RETURN(size_t row,
+                           flex_offers_.Position(schedule.offer_id));
+  FlexOfferFact& fact = flex_offers_.at(row);
+  MIRABEL_RETURN_IF_ERROR(schedule.ValidateAgainst(fact.offer));
+  if (fact.state != FlexOfferState::kAccepted &&
+      fact.state != FlexOfferState::kAggregated) {
     return Status::FailedPrecondition(
         "offer is not awaiting a schedule");
   }
-  fact->schedule = schedule;
-  fact->state = FlexOfferState::kScheduled;
+  fact.schedule = schedule;
+  fact.state = FlexOfferState::kScheduled;
+  if (scheduled_.built) scheduled_.Push(ScheduleEnd(fact), row);
   return Status::OK();
 }
 
@@ -157,15 +164,6 @@ std::vector<FlexOfferFact> DataStore::FlexOffersInState(
     FlexOfferState state) const {
   return flex_offers_.Scan(
       [state](const FlexOfferFact& f) { return f.state == state; });
-}
-
-std::vector<FlexOfferFact> DataStore::ExpiredUnscheduled(TimeSlice now) const {
-  return flex_offers_.Scan([now](const FlexOfferFact& f) {
-    bool pending = f.state == FlexOfferState::kOffered ||
-                   f.state == FlexOfferState::kAccepted ||
-                   f.state == FlexOfferState::kAggregated;
-    return pending && f.offer.assignment_before <= now;
-  });
 }
 
 int64_t DataStore::AppendPrice(int64_t market_area, TimeSlice slice,

@@ -1,6 +1,9 @@
 #ifndef MIRABEL_STORAGE_DATA_STORE_H_
 #define MIRABEL_STORAGE_DATA_STORE_H_
 
+#include <algorithm>
+#include <functional>
+#include <utility>
 #include <vector>
 
 #include "storage/schema.h"
@@ -57,24 +60,50 @@ class DataStore {
 
   Result<const FlexOfferFact*> FindFlexOffer(flexoffer::FlexOfferId id) const;
 
-  /// Legal lifecycle transitions: kOffered -> {kAccepted, kRejected},
-  /// kAccepted -> {kAggregated, kExpired}, kAggregated -> {kScheduled,
-  /// kExpired}, kScheduled -> {kExecuted, kExpired}. FailedPrecondition on
-  /// anything else.
+  /// Legal lifecycle transitions: kOffered -> {kAccepted, kRejected,
+  /// kExpired}, kAccepted -> {kAggregated, kExpired}, kAggregated ->
+  /// {kExpired}, kScheduled -> {kExecuted, kExpired}. Only AttachSchedule
+  /// enters kScheduled, so every scheduled offer carries its schedule.
+  /// FailedPrecondition on anything else.
   Status TransitionFlexOffer(flexoffer::FlexOfferId id, FlexOfferState to);
 
-  /// Attaches the schedule and moves the offer to kScheduled.
+  /// Attaches the schedule and moves the offer from kAccepted or kAggregated
+  /// to kScheduled.
   Status AttachSchedule(const flexoffer::ScheduledFlexOffer& schedule);
 
   /// Records the negotiated price on the offer fact.
   Status SetAgreedPrice(flexoffer::FlexOfferId id, double price_eur);
 
-  /// All offers currently in `state`.
+  /// Copies of all offers currently in `state`, in row order. A full-table
+  /// scan for audits and checks; the tick and gate paths use the visitors
+  /// below.
   std::vector<FlexOfferFact> FlexOffersInState(FlexOfferState state) const;
 
-  /// Offers in kOffered/kAccepted/kAggregated whose assignment deadline is
-  /// at or before `now` — candidates for the fallback-to-contract path.
-  std::vector<FlexOfferFact> ExpiredUnscheduled(flexoffer::TimeSlice now) const;
+  /// Calls `fn(const FlexOfferFact&)` for every pending offer (kOffered,
+  /// kAccepted or kAggregated) whose assignment deadline is at or before
+  /// `now`, in row order: the candidates for the fallback-to-contract path.
+  ///
+  /// The visit pops only due entries of a deadline-ordered queue of pending
+  /// rows, which the first visit builds, so its work does not grow with the
+  /// offers that are not due or that left the pending states. `fn` may
+  /// transition offers, attach schedules and put offers; a put invalidates
+  /// the reference `fn` holds, and the new offer is seen from the next visit
+  /// on. `fn` must not start another visit. A row an earlier `fn` moved out
+  /// of the pending states is skipped; a row `fn` leaves pending is visited
+  /// again by the next visit whose `now` reaches its deadline.
+  template <typename Fn>
+  void VisitPendingDueBy(flexoffer::TimeSlice now, Fn&& fn);
+
+  /// The same contract over kScheduled offers whose schedule ends (start
+  /// plus profile length) at or before `t`: the offers due for metering or
+  /// past their execution timeout.
+  template <typename Fn>
+  void VisitScheduledEndingBy(flexoffer::TimeSlice t, Fn&& fn);
+
+  /// Entries in each visitor's queue, stale ones included; 0 before the
+  /// first visit. A visit examines only the entries that are due.
+  size_t pending_queue_size() const { return pending_.heap.size(); }
+  size_t scheduled_queue_size() const { return scheduled_.heap.size(); }
 
   size_t num_flex_offers() const { return flex_offers_.size(); }
 
@@ -104,7 +133,84 @@ class DataStore {
   int64_t next_measurement_id_ = 1;
   int64_t next_price_id_ = 1;
   int64_t next_contract_id_ = 1;
+
+  /// Min-heap of (due slice, row position) over `flex_offers_`. It holds one
+  /// entry per row in the queue's states plus stale entries of rows that
+  /// left them, which are dropped when they fall due; rows never re-enter a
+  /// queue's states, so appending on insert is the only bookkeeping.
+  struct DueQueue {
+    bool built = false;
+    std::vector<std::pair<flexoffer::TimeSlice, size_t>> heap;
+
+    void Push(flexoffer::TimeSlice due, size_t row) {
+      heap.emplace_back(due, row);
+      std::push_heap(heap.begin(), heap.end(), std::greater<>());
+    }
+  };
+
+  static bool IsPending(const FlexOfferFact& f) {
+    return f.state == FlexOfferState::kOffered ||
+           f.state == FlexOfferState::kAccepted ||
+           f.state == FlexOfferState::kAggregated;
+  }
+  static bool IsScheduled(const FlexOfferFact& f) {
+    return f.state == FlexOfferState::kScheduled;
+  }
+  static flexoffer::TimeSlice Deadline(const FlexOfferFact& f) {
+    return f.offer.assignment_before;
+  }
+  static flexoffer::TimeSlice ScheduleEnd(const FlexOfferFact& f) {
+    return f.schedule.start +
+           static_cast<flexoffer::TimeSlice>(f.schedule.energies_kwh.size());
+  }
+
+  template <auto InState, auto DueOf, typename Fn>
+  void VisitDue(DueQueue& queue, flexoffer::TimeSlice t, Fn& fn);
+
+  /// Keyed by Deadline(); built by the first VisitPendingDueBy.
+  DueQueue pending_;
+  /// Keyed by ScheduleEnd(); built by the first VisitScheduledEndingBy.
+  DueQueue scheduled_;
+  /// The current visit's due rows, reused so that visits do not allocate.
+  std::vector<size_t> due_rows_;
 };
+
+template <auto InState, auto DueOf, typename Fn>
+void DataStore::VisitDue(DueQueue& queue, flexoffer::TimeSlice t, Fn& fn) {
+  const auto& rows = flex_offers_;
+  if (!queue.built) {
+    for (size_t row = 0; row < rows.size(); ++row) {
+      if (InState(rows.at(row))) queue.Push(DueOf(rows.at(row)), row);
+    }
+    queue.built = true;
+  }
+  // Pop the due entries, dropping stale ones, and restore row order: the
+  // visit equals a full scan restricted to due rows.
+  due_rows_.clear();
+  while (!queue.heap.empty() && queue.heap.front().first <= t) {
+    std::pop_heap(queue.heap.begin(), queue.heap.end(), std::greater<>());
+    size_t row = queue.heap.back().second;
+    queue.heap.pop_back();
+    if (InState(rows.at(row))) due_rows_.push_back(row);
+  }
+  std::sort(due_rows_.begin(), due_rows_.end());
+  for (size_t row : due_rows_) {
+    if (!InState(rows.at(row))) continue;
+    fn(rows.at(row));
+    // Re-read the row: a put inside `fn` may have moved the rows.
+    if (InState(rows.at(row))) queue.Push(DueOf(rows.at(row)), row);
+  }
+}
+
+template <typename Fn>
+void DataStore::VisitPendingDueBy(flexoffer::TimeSlice now, Fn&& fn) {
+  VisitDue<IsPending, Deadline>(pending_, now, fn);
+}
+
+template <typename Fn>
+void DataStore::VisitScheduledEndingBy(flexoffer::TimeSlice t, Fn&& fn) {
+  VisitDue<IsScheduled, ScheduleEnd>(scheduled_, t, fn);
+}
 
 }  // namespace mirabel::storage
 

@@ -60,7 +60,22 @@ class Table {
     return &rows_[it->second];
   }
 
-  /// Deletes by key (swap-with-last); NotFound when absent.
+  /// Row position of `key` (see at()); NotFound when absent.
+  Result<size_t> Position(const Key& key) const {
+    auto it = index_.find(key);
+    if (it == index_.end()) return Status::NotFound("key not in table");
+    return it->second;
+  }
+
+  /// The row at position `pos` < size(). A row's position is its insertion
+  /// rank and stays fixed until an Erase.
+  const Row& at(size_t pos) const { return rows_[pos]; }
+  Row& at(size_t pos) { return rows_[pos]; }
+
+  /// Deletes by key (swap-with-last); NotFound when absent. Moving the last
+  /// row into the erased position changes the row order and that row's
+  /// position, so a table whose readers keep positions or rely on insertion
+  /// order (DataStore's flex-offer table) must never erase.
   Status Erase(const Key& key) {
     auto it = index_.find(key);
     if (it == index_.end()) return Status::NotFound("key not in table");
@@ -75,7 +90,8 @@ class Table {
     return Status::OK();
   }
 
-  /// Returns all rows matching `predicate`, in unspecified order.
+  /// Returns copies of all rows matching `predicate`, in row order: insertion
+  /// order for a table that never erased. Seeded replays depend on this.
   std::vector<Row> Scan(const std::function<bool(const Row&)>& predicate) const {
     std::vector<Row> out;
     for (const Row& row : rows_) {

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 #include <map>
 #include <memory>
@@ -297,6 +298,86 @@ TEST(EdmsEngineTest, ForwardingModePublishesAndCompletesMacros) {
     }
   }
   EXPECT_EQ(assigned, 3);
+}
+
+TEST(EdmsEngineTest, UnmeteredSchedulesTimeOutOnceInSubmissionOrder) {
+  // Forwarding mode: two macros complete in reverse id order, so member
+  // schedules attach out of submission order, and no owner ever meters.
+  EdmsEngine::Config cfg = DeterministicConfig();
+  cfg.schedule_locally = false;
+  cfg.execution_timeout_slices = 32;
+  EdmsEngine engine(cfg);
+  // Time flexibility 20 vs 4 slices puts offers 1/3 and 2/4 in different
+  // P3 groups; interleaving them makes either completion order attach out
+  // of submission order. Their schedules end at 40 and 34, so the one gate
+  // that finds them all overdue sees them in neither attach nor end order.
+  std::vector<FlexOffer> offers = {
+      testutil::OwnedOffer(1, 501, /*assign_before=*/24, /*earliest=*/30,
+                           /*latest=*/50, /*dur=*/10),
+      testutil::OwnedOffer(2, 502, 24, 30, 34, 4),
+      testutil::OwnedOffer(3, 503, 24, 30, 50, 10),
+      testutil::OwnedOffer(4, 504, 24, 30, 34, 4),
+  };
+  ASSERT_TRUE(engine.SubmitOffers(offers, 0).ok());
+  ASSERT_TRUE(engine.Advance(0).ok());
+  std::vector<FlexOffer> macros;
+  for (const Event& event : engine.PollEvents()) {
+    if (const auto* e = std::get_if<MacroPublished>(&event)) {
+      macros.push_back(e->macro);
+    }
+  }
+  ASSERT_EQ(macros.size(), 2u);
+  std::sort(macros.begin(), macros.end(),
+            [](const FlexOffer& a, const FlexOffer& b) { return a.id > b.id; });
+  std::vector<flexoffer::FlexOfferId> attached;
+  for (const FlexOffer& macro : macros) {
+    ScheduledFlexOffer s;
+    s.offer_id = macro.id;
+    s.start = macro.earliest_start;
+    for (const auto& band : macro.profile) {
+      s.energies_kwh.push_back(band.max_kwh);
+    }
+    ASSERT_TRUE(engine.CompleteMacroSchedule(s, 1).ok());
+    for (const Event& event : engine.PollEvents()) {
+      if (const auto* e = std::get_if<ScheduleAssigned>(&event)) {
+        EXPECT_EQ(e->schedule.start, 30);
+        attached.push_back(e->schedule.offer_id);
+      }
+    }
+  }
+  ASSERT_EQ(attached.size(), offers.size());
+  ASSERT_NE(attached, (std::vector<flexoffer::FlexOfferId>{1, 2, 3, 4}));
+
+  // Overdue from 34 + 32 = 66 and 40 + 32 = 72: the gates up to 64 find
+  // nothing.
+  for (flexoffer::TimeSlice now = 8; now <= 64; now += 8) {
+    ASSERT_TRUE(engine.Advance(now).ok());
+    EXPECT_TRUE(engine.PollEvents().empty()) << "gate " << now;
+  }
+  ASSERT_TRUE(engine.Advance(72).ok());
+  std::vector<flexoffer::FlexOfferId> expired;
+  for (const Event& event : engine.PollEvents()) {
+    const auto* e = std::get_if<OfferExpired>(&event);
+    ASSERT_NE(e, nullptr) << EventName(event);
+    EXPECT_EQ(e->at, 72);
+    expired.push_back(e->offer);
+  }
+  EXPECT_EQ(expired, (std::vector<flexoffer::FlexOfferId>{1, 2, 3, 4}));
+  EXPECT_EQ(engine.stats().executions_timed_out,
+            static_cast<int64_t>(expired.size()));
+  for (const FlexOffer& fo : offers) {
+    EXPECT_EQ(*engine.lifecycle().StateOf(fo.id), OfferState::kExpired);
+  }
+
+  for (flexoffer::TimeSlice now = 80; now <= 96; now += 8) {
+    ASSERT_TRUE(engine.Advance(now).ok());
+    EXPECT_TRUE(engine.PollEvents().empty()) << "gate " << now;
+  }
+  EXPECT_EQ(engine.stats().executions_timed_out, 4);
+  // A metering that arrives after the timeout is refused.
+  EXPECT_EQ(engine.RecordExecution(1, 100, 8.0).code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_TRUE(engine.PollEvents().empty());
 }
 
 TEST(EdmsEngineTest, GateHonoursThePeriod) {
