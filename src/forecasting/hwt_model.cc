@@ -2,11 +2,23 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "common/math_util.h"
 #include "forecasting/residual_sampling.h"
 
 namespace mirabel::forecasting {
+
+namespace {
+
+/// Upper bound of phi; every other parameter lies in [0, 1].
+constexpr double kMaxPhi = 0.99;
+
+Status Diverged() {
+  return Status::Internal("smoothing diverged (non-finite SSE)");
+}
+
+}  // namespace
 
 HwtModel::HwtModel(std::vector<int> seasonal_periods)
     : seasonal_periods_(std::move(seasonal_periods)) {
@@ -15,7 +27,7 @@ HwtModel::HwtModel(std::vector<int> seasonal_periods)
 
 std::vector<ParamBound> HwtModel::Bounds() const {
   std::vector<ParamBound> bounds(NumParams(), ParamBound{0.0, 1.0});
-  bounds.back() = ParamBound{0.0, 0.99};  // phi
+  bounds.back() = ParamBound{0.0, kMaxPhi};  // phi
   return bounds;
 }
 
@@ -37,6 +49,46 @@ double HwtModel::SeasonalAt(int ahead) const {
   return acc;
 }
 
+void HwtModel::ComputeSeed(std::span<const double> window) {
+  seed_window_.assign(window.begin(), window.end());
+  const size_t n = window.size();
+  const size_t max_period = n / 2;
+  seed_level_ = 0.0;
+  for (size_t j = 0; j < max_period; ++j) seed_level_ += window[j];
+  seed_level_ /= static_cast<double>(max_period);
+
+  // The detrend scratch lives in a member buffer, so a new window of the
+  // same length is seeded within existing capacity.
+  std::vector<double>& residual = seed_detrend_buf_;
+  residual.assign(window.begin(), window.end());
+  for (double& r : residual) r -= seed_level_;
+  seed_seasons_.resize(seasonal_periods_.size());
+  for (size_t i = 0; i < seasonal_periods_.size(); ++i) {
+    const size_t m = static_cast<size_t>(seasonal_periods_[i]);
+    std::vector<double>& idx = seed_seasons_[i];
+    idx.assign(m, 0.0);
+    // p runs as j mod m, so each idx[p] sums its observations in series
+    // order.
+    for (size_t j = 0, p = 0; j < n; ++j) {
+      idx[p] += residual[j];
+      if (++p == m) p = 0;
+    }
+    // n >= 2m: position p has n / m observations, plus one when the last,
+    // partial cycle reaches it.
+    for (size_t p = 0; p < m; ++p) {
+      idx[p] /= static_cast<double>(n / m + (p < n % m ? 1 : 0));
+    }
+    // Zero-mean the indices so they do not absorb the level.
+    double mean = Mean(idx);
+    for (double& v : idx) v -= mean;
+    // Remove this season's contribution before fitting the next one.
+    for (size_t j = 0, p = 0; j < n; ++j) {
+      residual[j] -= idx[p];
+      if (++p == m) p = 0;
+    }
+  }
+}
+
 Result<double> HwtModel::FitWithParams(const TimeSeries& series,
                                        const std::vector<double>& params) {
   if (params.size() != NumParams()) {
@@ -46,83 +98,78 @@ Result<double> HwtModel::FitWithParams(const TimeSeries& series,
   if (seasonal_periods_.empty()) {
     return Status::FailedPrecondition("no seasonal periods configured");
   }
-  int max_period = seasonal_periods_.back();
-  if (series.size() < 2 * static_cast<size_t>(max_period)) {
+  if (seasonal_periods_.front() <= 0) {
+    return Status::InvalidArgument("seasonal periods must be positive");
+  }
+  const size_t max_period = static_cast<size_t>(seasonal_periods_.back());
+  if (series.size() < 2 * max_period) {
     return Status::InvalidArgument(
         "series shorter than two of the longest seasonal cycles");
   }
   for (size_t i = 0; i < params.size(); ++i) {
-    if (!std::isfinite(params[i]) || params[i] < 0.0 || params[i] > 1.0) {
+    const double hi = i + 1 == params.size() ? kMaxPhi : 1.0;
+    if (!(params[i] >= 0.0 && params[i] <= hi)) {
       return Status::OutOfRange("parameter " + std::to_string(i) +
-                                " outside [0, 1]");
+                                " outside its bounds");
     }
   }
 
-  params_ = params;
-  const double alpha = params_[0];
-  const double phi = params_.back();
   const std::vector<double>& y = series.values();
-
-  // ---- State initialisation from the first cycles -------------------------
-  level_ = 0.0;
-  for (int j = 0; j < max_period; ++j) level_ += y[static_cast<size_t>(j)];
-  level_ /= max_period;
-
-  // The detrend/count scratch lives in member buffers: estimators call
-  // FitWithParams once per candidate parameter vector, so after the first
-  // call every assign() below runs within existing capacity.
-  std::vector<double>& residual = fit_residual_buf_;
-  residual.assign(y.begin(), y.begin() + 2 * static_cast<size_t>(max_period));
-  for (double& r : residual) r -= level_;
-  seasons_.resize(seasonal_periods_.size());
-  for (size_t i = 0; i < seasonal_periods_.size(); ++i) {
-    int m = seasonal_periods_[i];
-    std::vector<double>& idx = seasons_[i];
-    idx.assign(static_cast<size_t>(m), 0.0);
-    fit_count_buf_.assign(static_cast<size_t>(m), 0);
-    for (size_t j = 0; j < residual.size(); ++j) {
-      idx[j % static_cast<size_t>(m)] += residual[j];
-      fit_count_buf_[j % static_cast<size_t>(m)] += 1;
-    }
-    for (size_t p = 0; p < idx.size(); ++p) {
-      idx[p] = fit_count_buf_[p] > 0 ? idx[p] / fit_count_buf_[p] : 0.0;
-    }
-    // Zero-mean the indices so they do not absorb the level.
-    double mean = Mean(idx);
-    for (double& v : idx) v -= mean;
-    // Remove this season's contribution before fitting the next one.
-    for (size_t j = 0; j < residual.size(); ++j) {
-      residual[j] -= idx[j % static_cast<size_t>(m)];
-    }
+  const size_t window = 2 * max_period;
+  const size_t window_bytes = window * sizeof(double);
+  if (seed_window_.size() != window ||
+      std::memcmp(seed_window_.data(), y.data(), window_bytes) != 0) {
+    ComputeSeed(std::span<const double>(y).first(window));
   }
 
-  // ---- Smoothing recursions over the series --------------------------------
-  t_ = 0;
-  last_error_ = 0.0;
+  // ---- Smoothing recursions over the series, on scratch state -------------
+  fit_seasons_.resize(seed_seasons_.size());
+  fit_rings_.clear();
+  for (size_t i = 0; i < seed_seasons_.size(); ++i) {
+    fit_seasons_[i].assign(seed_seasons_[i].begin(), seed_seasons_[i].end());
+    fit_rings_.push_back(SeasonRing{fit_seasons_[i], 0, params[1 + i]});
+  }
+  fit_residuals_.resize(y.size() - max_period);
+  const std::span<SeasonRing> rings(fit_rings_);
+  const std::span<double> residuals(fit_residuals_);
+  const double alpha = params.front();
+  const double phi = params.back();
+  double level = seed_level_;
+  double last_error = 0.0;
   double sse = 0.0;
-  size_t warmup = static_cast<size_t>(max_period);
-  residuals_.clear();
-  residuals_.reserve(y.size() - warmup);
   for (size_t j = 0; j < y.size(); ++j) {
-    double forecast = level_ + SeasonalAt(0) + phi * last_error_;
-    double e = y[j] - forecast;
-    if (j >= warmup) {
+    // The same expression, in the same order, as Update().
+    double seasonal = 0.0;
+    for (const SeasonRing& r : rings) seasonal += r.index[r.pos];
+    const double e = y[j] - ((level + seasonal) + phi * last_error);
+    // Exact: alpha * e is non-finite for every alpha in [0, 1] (0 * inf is
+    // NaN), so the level, every later error and the SSE stay non-finite.
+    if (!std::isfinite(e)) return Diverged();
+    if (j >= max_period) {
       sse += e * e;
-      residuals_.push_back(e);
+      residuals[j - max_period] = e;
     }
-    level_ += alpha * e;
-    for (size_t i = 0; i < seasons_.size(); ++i) {
-      double gamma = params_[1 + i];
-      int m = seasonal_periods_[i];
-      seasons_[i][static_cast<size_t>(t_ % m)] += gamma * e;
+    level += alpha * e;
+    for (SeasonRing& r : rings) {
+      r.index[r.pos] += r.gamma * e;
+      if (++r.pos == r.index.size()) r.pos = 0;
     }
-    last_error_ = e;
-    ++t_;
+    last_error = e;
   }
+  if (!std::isfinite(sse)) return Diverged();
+
+  // ---- Commit --------------------------------------------------------------
+  params_ = params;
+  level_ = level;
+  last_error_ = last_error;
+  t_ = static_cast<int64_t>(y.size());
+  seasons_.swap(fit_seasons_);
+  residuals_.swap(fit_residuals_);
+  // The replaced state is the next fit's scratch. Shaping it here, once,
+  // lets every later fit of this shape run within capacity.
+  if (fit_seasons_.size() != seasons_.size()) fit_seasons_ = seasons_;
+  fit_residuals_.reserve(residuals_.size());
   fitted_ = true;
-  if (!std::isfinite(sse)) {
-    return Status::Internal("smoothing diverged (non-finite SSE)");
-  }
   return sse;
 }
 

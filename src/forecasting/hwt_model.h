@@ -55,11 +55,33 @@ class HwtModel {
   /// A reasonable default parameter vector (alpha=0.1, gammas=0.15, phi=0.7).
   std::vector<double> DefaultParams() const;
 
-  /// Initialises the seasonal state from the first cycles of `series`, runs
-  /// the smoothing recursions over the whole series with `params`, stores the
-  /// final state, and returns the in-sample sum of squared one-step errors.
+  /// Runs the smoothing recursions over `series` with `params` and returns
+  /// the in-sample sum of squared one-step errors after the warm-up (the
+  /// first max(seasonal_periods) observations).
   ///
-  /// Requires series.size() >= 2 * max(seasonal_periods).
+  /// Contract:
+  ///  - Input: InvalidArgument for a wrong parameter count, a non-positive
+  ///    seasonal period or a series shorter than 2 * max(seasonal_periods);
+  ///    FailedPrecondition when no period is configured; OutOfRange for a
+  ///    parameter outside Bounds()[i] (NaN and infinities included).
+  ///  - Strong guarantee: the fit runs on scratch buffers and replaces the
+  ///    fitted state, params() and residuals() only on success. On any
+  ///    error the model reads exactly as before the call; a model whose
+  ///    first fit fails stays unfitted.
+  ///  - Seed reuse: the start state (the level and the zero-mean seasonal
+  ///    indices) depends only on the window y[0, 2 * max period). The model
+  ///    keeps the last seed with a copy of its window and reuses it when the
+  ///    next fit's window is byte-for-byte the same (bytes, not ==, so
+  ///    signed zeros and NaN payloads cannot alias).
+  ///  - Divergence: Internal "smoothing diverged (non-finite SSE)" when the
+  ///    SSE is not finite. The recursion stops at the first non-finite
+  ///    one-step error: alpha * e is then non-finite for every alpha in
+  ///    [0, 1] (0 * inf = NaN), so the level, every later error and the SSE
+  ///    would stay non-finite to the end.
+  ///
+  /// Results are bit-identical to the recursion above evaluated as
+  /// f = (l + ((0 + s_1) + ... + s_k)) + phi * e_prev with every season
+  /// indexed by t mod m_i.
   Result<double> FitWithParams(const TimeSeries& series,
                                const std::vector<double>& params);
 
@@ -95,8 +117,21 @@ class HwtModel {
   }
 
  private:
+  /// One season's ring during a fit: the season's scratch indices, the
+  /// position that is "now" (t mod m, advanced by compare-and-reset) and
+  /// its smoothing weight.
+  struct SeasonRing {
+    std::span<double> index;
+    size_t pos = 0;
+    double gamma = 0.0;
+  };
+
   /// Sum of the seasonal indices that apply `ahead` steps after now.
   double SeasonalAt(int ahead) const;
+
+  /// Computes the seed from `window` = y[0, 2 * max period) and keeps it
+  /// together with a copy of the window.
+  void ComputeSeed(std::span<const double> window);
 
   std::vector<int> seasonal_periods_;
   std::vector<double> params_;  // alpha, gamma_i..., phi
@@ -112,11 +147,21 @@ class HwtModel {
   /// Post-warmup one-step errors of the last fit (see residuals()).
   std::vector<double> residuals_;
 
+  /// The last seed: a copy of the window it was computed from, its level
+  /// and its zero-mean seasonal indices.
+  std::vector<double> seed_window_;
+  double seed_level_ = 0.0;
+  std::vector<std::vector<double>> seed_seasons_;
+
   /// Fit-time scratch, hoisted into members so refitting (the estimator
-  /// calls FitWithParams once per candidate parameter vector) reuses
-  /// capacity instead of reallocating the detrend/count arrays every call.
-  std::vector<double> fit_residual_buf_;
-  std::vector<int> fit_count_buf_;
+  /// calls FitWithParams once per candidate parameter vector) runs within
+  /// existing capacity. A fit runs on fit_seasons_ and fit_residuals_ and
+  /// swaps them with seasons_ and residuals_ only on success; fit_rings_
+  /// views fit_seasons_ and is rebuilt by every fit.
+  std::vector<std::vector<double>> fit_seasons_;
+  std::vector<double> fit_residuals_;
+  std::vector<SeasonRing> fit_rings_;
+  std::vector<double> seed_detrend_buf_;
 };
 
 }  // namespace mirabel::forecasting
