@@ -23,11 +23,6 @@ Status GroupBuilder::Insert(const FlexOffer& offer) {
   return Status::OK();
 }
 
-void GroupBuilder::Reserve(size_t extra) {
-  pending_inserts_.reserve(pending_inserts_.size() + extra);
-  pending_ids_.reserve(pending_ids_.size() + extra);
-}
-
 Status GroupBuilder::Remove(FlexOfferId id) {
   auto pending_it = pending_ids_.find(id);
   if (pending_it != pending_ids_.end()) {

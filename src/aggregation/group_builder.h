@@ -41,10 +41,6 @@ class GroupBuilder {
   /// (considering both applied and pending state).
   Status Insert(const flexoffer::FlexOffer& offer);
 
-  /// Pre-sizes the pending buffers for `extra` further insertions (batch
-  /// intake avoids incremental reallocation).
-  void Reserve(size_t extra);
-
   /// Queues an offer removal (e.g. the offer expired or was executed).
   /// Returns NotFound for unknown ids.
   Status Remove(flexoffer::FlexOfferId id);

@@ -19,7 +19,6 @@ Status AggregationPipeline::Insert(const FlexOffer& offer) {
 }
 
 Status AggregationPipeline::Insert(std::span<const FlexOffer> offers) {
-  group_builder_.Reserve(offers.size());
   for (const FlexOffer& offer : offers) {
     MIRABEL_RETURN_IF_ERROR(Insert(offer));
   }

@@ -49,9 +49,8 @@ class AggregationPipeline {
   /// Queues the insertion of an accepted flex-offer.
   Status Insert(const flexoffer::FlexOffer& offer);
 
-  /// Batch intake: queues all of `offers` (reserving the pending buffers
-  /// up front). Stops at the first invalid or duplicate offer and returns
-  /// its error; earlier offers stay queued.
+  /// Batch intake: queues all of `offers`. Stops at the first invalid or
+  /// duplicate offer and returns its error; earlier offers stay queued.
   Status Insert(std::span<const flexoffer::FlexOffer> offers);
 
   /// Queues the removal of an offer (expired / executed / withdrawn).

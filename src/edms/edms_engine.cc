@@ -1,8 +1,8 @@
 #include "edms/edms_engine.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
-#include <unordered_set>
 #include <utility>
 
 #include "common/logging.h"
@@ -23,19 +23,20 @@ EngineStats& EngineStats::Merge(const EngineStats& other) {
   // Destructuring both sides pins the member count at compile time: adding a
   // field to EngineStats without extending these bindings fails to build.
   // The size guard additionally catches same-count layout changes.
-  static_assert(sizeof(EngineStats) == 28 * sizeof(int64_t),
+  static_assert(sizeof(EngineStats) == 29 * sizeof(int64_t),
                 "EngineStats layout changed: update Merge()");
   auto& [received, batches, accepted, rejected, runs, macros, micros, expired,
          executed, payments, imb_before, imb_after, cost, budget_saved,
          intake_errs, metering_fails, shed, dropped, macros_expired,
-         exec_timeouts, wins_greedy, wins_ea, wins_bnb, proven, rob_runs,
-         rob_evals, rob_expected, rob_cvar] = *this;
+         exec_timeouts, violations, wins_greedy, wins_ea, wins_bnb, proven,
+         rob_runs, rob_evals, rob_expected, rob_cvar] = *this;
   const auto& [o_received, o_batches, o_accepted, o_rejected, o_runs, o_macros,
                o_micros, o_expired, o_executed, o_payments, o_imb_before,
                o_imb_after, o_cost, o_budget_saved, o_intake_errs,
                o_metering_fails, o_shed, o_dropped, o_macros_expired,
-               o_exec_timeouts, o_wins_greedy, o_wins_ea, o_wins_bnb, o_proven,
-               o_rob_runs, o_rob_evals, o_rob_expected, o_rob_cvar] = other;
+               o_exec_timeouts, o_violations, o_wins_greedy, o_wins_ea,
+               o_wins_bnb, o_proven, o_rob_runs, o_rob_evals, o_rob_expected,
+               o_rob_cvar] = other;
   received += o_received;
   batches += o_batches;
   accepted += o_accepted;
@@ -56,6 +57,7 @@ EngineStats& EngineStats::Merge(const EngineStats& other) {
   dropped += o_dropped;
   macros_expired += o_macros_expired;
   exec_timeouts += o_exec_timeouts;
+  violations += o_violations;
   wins_greedy += o_wins_greedy;
   wins_ea += o_wins_ea;
   wins_bnb += o_wins_bnb;
@@ -93,27 +95,30 @@ Result<size_t> EdmsEngine::SubmitOffers(std::span<const FlexOffer> offers,
   if (offers.empty()) return size_t{0};
 
   // Phase 0: reject duplicate ids up front, before any state mutates —
-  // aborting mid-batch would strand the earlier offers in kOffered.
-  std::unordered_set<FlexOfferId> batch_ids;
-  batch_ids.reserve(offers.size());
+  // aborting mid-batch would strand the earlier offers in kOffered. A known
+  // id is one index probe; repeats within the batch are neighbours once the
+  // batch's ids are sorted.
+  auto duplicate = [](FlexOfferId id) {
+    return Status::AlreadyExists("offer " + std::to_string(id) +
+                                 " was already submitted");
+  };
+  batch_ids_.clear();
   for (const FlexOffer& offer : offers) {
-    if (lifecycle_.StateOf(offer.id).ok() ||
-        !batch_ids.insert(offer.id).second) {
-      return Status::AlreadyExists("offer " + std::to_string(offer.id) +
-                                   " was already submitted");
-    }
+    if (lifecycle_.SlotOf(offer.id).has_value()) return duplicate(offer.id);
+    batch_ids_.push_back(offer.id);
   }
+  std::sort(batch_ids_.begin(), batch_ids_.end());
+  auto repeat = std::adjacent_find(batch_ids_.begin(), batch_ids_.end());
+  if (repeat != batch_ids_.end()) return duplicate(*repeat);
   ++stats_.submit_batches;
 
   // Phase 1: admit. Validation and negotiation decide per offer; the agreed
-  // ones are collected for one batch pipeline insertion.
-  std::vector<FlexOffer> admitted;
-  std::vector<double> prices;
-  admitted.reserve(offers.size());
-  prices.reserve(offers.size());
-  for (const FlexOffer& offer : offers) {
+  // ones are kept by index for one pipeline pass.
+  admitted_.clear();
+  for (size_t i = 0; i < offers.size(); ++i) {
+    const FlexOffer& offer = offers[i];
     ++stats_.offers_received;
-    MIRABEL_RETURN_IF_ERROR(lifecycle_.Begin(offer.id));
+    MIRABEL_ASSIGN_OR_RETURN(OfferSlot slot, lifecycle_.Begin(offer.id));
     double price = 0.0;
     bool agreed = offer.Validate().ok();
     if (agreed && config_.negotiate) {
@@ -126,33 +131,39 @@ Result<size_t> EdmsEngine::SubmitOffers(std::span<const FlexOffer> offers,
     if (!agreed) {
       ++stats_.offers_rejected;
       MIRABEL_RETURN_IF_ERROR(
-          lifecycle_.Transition(offer.id, OfferState::kRejected).status());
+          lifecycle_.TransitionAt(slot, OfferState::kRejected));
       events_.Push(OfferRejected{offer.id, offer.owner, now});
       continue;
     }
-    admitted.push_back(offer);
-    prices.push_back(price);
+    admitted_.push_back({i, slot, price});
   }
-  if (admitted.empty()) return size_t{0};
+  if (admitted_.empty()) return size_t{0};
 
-  // Phase 2: one batch insertion. Offers are pre-validated and id-unique
+  // Phase 2: pipeline insertion. Offers are pre-validated and id-unique
   // (the lifecycle admitted them), so failures here are engine bugs.
-  MIRABEL_RETURN_IF_ERROR(pipeline_.Insert(std::span<const FlexOffer>(admitted)));
-
-  // Phase 3: bookkeeping + events for the accepted offers.
-  for (size_t i = 0; i < admitted.size(); ++i) {
-    const FlexOffer& offer = admitted[i];
-    ++stats_.offers_accepted;
-    stats_.payments_eur += prices[i];
-    (void)store_.PutFlexOffer(offer);
-    (void)store_.TransitionFlexOffer(offer.id,
-                                     storage::FlexOfferState::kAccepted);
-    (void)store_.SetAgreedPrice(offer.id, prices[i]);
-    MIRABEL_RETURN_IF_ERROR(
-        lifecycle_.Transition(offer.id, OfferState::kAccepted).status());
-    events_.Push(OfferAccepted{offer.id, offer.owner, now, prices[i]});
+  for (const Admitted& a : admitted_) {
+    MIRABEL_RETURN_IF_ERROR(pipeline_.Insert(offers[a.index]));
   }
-  return admitted.size();
+
+  // Phase 3: bookkeeping + events for the accepted offers. The store row
+  // goes into the offer's lifecycle record, so later events on the offer
+  // reach the store without a lookup.
+  for (const Admitted& a : admitted_) {
+    const FlexOffer& offer = offers[a.index];
+    ++stats_.offers_accepted;
+    stats_.payments_eur += a.price_eur;
+    Result<size_t> row = store_.PutFlexOffer(offer);
+    if (Invariant(row.status())) {
+      lifecycle_.BindRow(a.slot, *row);
+      Invariant(store_.TransitionFlexOfferAt(
+          *row, storage::FlexOfferState::kAccepted));
+      Invariant(store_.SetAgreedPriceAt(*row, a.price_eur));
+    }
+    MIRABEL_RETURN_IF_ERROR(
+        lifecycle_.TransitionAt(a.slot, OfferState::kAccepted));
+    events_.Push(OfferAccepted{offer.id, offer.owner, now, a.price_eur});
+  }
+  return admitted_.size();
 }
 
 Status EdmsEngine::SubmitOffer(const FlexOffer& offer, TimeSlice now) {
@@ -184,11 +195,8 @@ void EdmsEngine::ExpireDeadlines(TimeSlice now) {
     }
   }
   for (const auto& [id, owner] : expired_members) {
-    (void)pipeline_.Remove(id);
-    (void)store_.TransitionFlexOffer(id, storage::FlexOfferState::kExpired);
-    (void)lifecycle_.Transition(id, OfferState::kExpired);
-    ++stats_.offers_expired_in_pipeline;
-    events_.Push(OfferExpired{id, owner, now});
+    Invariant(pipeline_.Remove(id));
+    ExpireUnscheduled(id, owner, now);
   }
   if (!expired_members.empty()) (void)pipeline_.Flush();
 
@@ -203,11 +211,7 @@ void EdmsEngine::ExpireDeadlines(TimeSlice now) {
   for (FlexOfferId macro_id : stale_macros) {
     auto it = pending_macros_.find(macro_id);
     for (const auto& m : it->second.members) {
-      (void)store_.TransitionFlexOffer(m.offer.id,
-                                       storage::FlexOfferState::kExpired);
-      (void)lifecycle_.Transition(m.offer.id, OfferState::kExpired);
-      ++stats_.offers_expired_in_pipeline;
-      events_.Push(OfferExpired{m.offer.id, m.offer.owner, now});
+      ExpireUnscheduled(m.offer.id, m.offer.owner, now);
     }
     ++stats_.macros_expired_unscheduled;
     events_.Push(MacroExpired{macro_id, now, it->second.members.size()});
@@ -223,11 +227,13 @@ void EdmsEngine::ExpireDeadlines(TimeSlice now) {
     store_.VisitScheduledEndingBy(
         now - config_.execution_timeout_slices,
         [&](const storage::FlexOfferFact& fact) {
-          if (!lifecycle_.Transition(fact.id, OfferState::kExpired).ok()) {
+          std::optional<OfferSlot> slot = AdmittedSlot(fact.id);
+          if (!slot.has_value() ||
+              !lifecycle_.TransitionAt(*slot, OfferState::kExpired).ok()) {
             return;
           }
-          (void)store_.TransitionFlexOffer(fact.id,
-                                           storage::FlexOfferState::kExpired);
+          Invariant(store_.TransitionFlexOfferAt(
+              lifecycle_.RowAt(*slot), storage::FlexOfferState::kExpired));
           ++stats_.executions_timed_out;
           events_.Push(OfferExpired{fact.id, fact.offer.owner, now});
         });
@@ -257,12 +263,13 @@ Status EdmsEngine::RunGate(TimeSlice now) {
   // keep the aggregate snapshots for disaggregation.
   for (const auto& agg : ready) {
     for (const auto& m : agg.members) {
-      (void)pipeline_.Remove(m.offer.id);
-      (void)store_.TransitionFlexOffer(m.offer.id,
-                                       storage::FlexOfferState::kAggregated);
+      Invariant(pipeline_.Remove(m.offer.id));
+      std::optional<OfferSlot> slot = AdmittedSlot(m.offer.id);
+      if (!slot.has_value()) continue;
+      Invariant(store_.TransitionFlexOfferAt(
+          lifecycle_.RowAt(*slot), storage::FlexOfferState::kAggregated));
       MIRABEL_RETURN_IF_ERROR(
-          lifecycle_.Transition(m.offer.id, OfferState::kAggregated)
-              .status());
+          lifecycle_.TransitionAt(*slot, OfferState::kAggregated));
     }
   }
   (void)pipeline_.Flush();
@@ -283,11 +290,7 @@ Status EdmsEngine::RunGate(TimeSlice now) {
                             << agg.macro.id << " x " << config_.macro_id_lanes
                             << " lanes); expiring its members";
         for (const auto& m : agg.members) {
-          (void)store_.TransitionFlexOffer(m.offer.id,
-                                           storage::FlexOfferState::kExpired);
-          (void)lifecycle_.Transition(m.offer.id, OfferState::kExpired);
-          ++stats_.offers_expired_in_pipeline;
-          events_.Push(OfferExpired{m.offer.id, m.offer.owner, now});
+          ExpireUnscheduled(m.offer.id, m.offer.owner, now);
         }
         continue;
       }
@@ -317,11 +320,7 @@ Status EdmsEngine::ScheduleLocally(
     // waiting on a schedule that can no longer arrive.
     for (const auto& agg : macros) {
       for (const auto& m : agg.members) {
-        (void)store_.TransitionFlexOffer(m.offer.id,
-                                         storage::FlexOfferState::kExpired);
-        (void)lifecycle_.Transition(m.offer.id, OfferState::kExpired);
-        ++stats_.offers_expired_in_pipeline;
-        events_.Push(OfferExpired{m.offer.id, m.offer.owner, now});
+        ExpireUnscheduled(m.offer.id, m.offer.owner, now);
       }
     }
   }
@@ -427,7 +426,7 @@ Status EdmsEngine::ScheduleClaimed(
   for (size_t s = 0; s < h; ++s) {
     stats_.imbalance_before_kwh += std::fabs(workspace.net_kwh()[s]);
   }
-  (void)workspace.SetSchedule(compiled, run.schedule);
+  Invariant(workspace.SetSchedule(compiled, run.schedule));
   for (size_t s = 0; s < h; ++s) {
     stats_.imbalance_after_kwh += std::fabs(workspace.net_kwh()[s]);
   }
@@ -466,9 +465,11 @@ Status EdmsEngine::EmitMemberSchedules(
                            aggregation::Disaggregate(agg, macro_schedule));
   for (size_t i = 0; i < members.size(); ++i) {
     const ScheduledFlexOffer& schedule = members[i];
-    (void)store_.AttachSchedule(schedule);
-    (void)lifecycle_.Transition(schedule.offer_id, OfferState::kScheduled);
-    (void)lifecycle_.Transition(schedule.offer_id, OfferState::kAssigned);
+    if (std::optional<OfferSlot> slot = AdmittedSlot(schedule.offer_id)) {
+      Invariant(store_.AttachScheduleAt(lifecycle_.RowAt(*slot), schedule));
+      Invariant(lifecycle_.TransitionAt(*slot, OfferState::kScheduled));
+      Invariant(lifecycle_.TransitionAt(*slot, OfferState::kAssigned));
+    }
     ++stats_.micro_schedules_sent;
     events_.Push(
         ScheduleAssigned{agg.members[i].offer.owner, now, schedule});
@@ -478,14 +479,20 @@ Status EdmsEngine::EmitMemberSchedules(
 
 Status EdmsEngine::RecordExecution(FlexOfferId id, TimeSlice now,
                                    double energy_kwh) {
-  MIRABEL_ASSIGN_OR_RETURN(const storage::FlexOfferFact* fact,
-                           store_.FindFlexOffer(id));
-  flexoffer::ActorId owner = fact->offer.owner;
+  std::optional<OfferSlot> slot = lifecycle_.SlotOf(id);
+  const size_t row =
+      slot.has_value() ? lifecycle_.RowAt(*slot) : OfferLifecycle::kNoRow;
+  if (row == OfferLifecycle::kNoRow) {
+    return Status::NotFound("offer " + std::to_string(id) +
+                            " is not in the store");
+  }
   MIRABEL_RETURN_IF_ERROR(
-      lifecycle_.Transition(id, OfferState::kExecuted).status());
-  (void)store_.TransitionFlexOffer(id, storage::FlexOfferState::kExecuted);
+      lifecycle_.TransitionAt(*slot, OfferState::kExecuted));
+  Invariant(
+      store_.TransitionFlexOfferAt(row, storage::FlexOfferState::kExecuted));
   ++stats_.offers_executed;
-  events_.Push(OfferExecuted{id, owner, now, energy_kwh});
+  events_.Push(
+      OfferExecuted{id, store_.FlexOfferAt(row).offer.owner, now, energy_kwh});
   return Status::OK();
 }
 
@@ -496,5 +503,33 @@ void EdmsEngine::RecordMeasurement(flexoffer::ActorId actor, TimeSlice slice,
 }
 
 std::vector<Event> EdmsEngine::PollEvents() { return events_.DrainAll(); }
+
+bool EdmsEngine::Invariant(const Status& st) {
+  if (st.ok()) return true;
+  ++stats_.invariant_violations;
+  MIRABEL_LOG(kError) << "engine invariant violated: " << st;
+  assert(false && "engine invariant violated");
+  return false;
+}
+
+std::optional<OfferSlot> EdmsEngine::AdmittedSlot(FlexOfferId id) {
+  std::optional<OfferSlot> slot = lifecycle_.SlotOf(id);
+  if (!slot.has_value()) {
+    Invariant(Status::NotFound("offer " + std::to_string(id) +
+                               " has no lifecycle"));
+  }
+  return slot;
+}
+
+void EdmsEngine::ExpireUnscheduled(FlexOfferId id, flexoffer::ActorId owner,
+                                   TimeSlice now) {
+  if (std::optional<OfferSlot> slot = AdmittedSlot(id)) {
+    Invariant(store_.TransitionFlexOfferAt(lifecycle_.RowAt(*slot),
+                                           storage::FlexOfferState::kExpired));
+    Invariant(lifecycle_.TransitionAt(*slot, OfferState::kExpired));
+  }
+  ++stats_.offers_expired_in_pipeline;
+  events_.Push(OfferExpired{id, owner, now});
+}
 
 }  // namespace mirabel::edms

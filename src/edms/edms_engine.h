@@ -2,6 +2,7 @@
 #define MIRABEL_EDMS_EDMS_ENGINE_H_
 
 #include <memory>
+#include <optional>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -71,6 +72,12 @@ struct EngineStats {
   /// Config::execution_timeout_slices of their schedule's end; closed as
   /// expired so per-offer bookkeeping cannot leak under message loss.
   int64_t executions_timed_out = 0;
+  /// Engine moves that failed although a correct engine cannot fail them
+  /// (a store or pipeline move the lifecycle said was legal, an admitted
+  /// offer missing from the lifecycle or the store). Stays 0 in a correct
+  /// engine: debug builds assert on the first one, release builds count it
+  /// and carry on.
+  int64_t invariant_violations = 0;
   /// Portfolio-race wins per member family, counted over scheduling runs
   /// whose result carried per-member stats (i.e. the configured scheduler
   /// was a PortfolioScheduler). Members with other names count nowhere.
@@ -305,6 +312,25 @@ class EdmsEngine {
       flexoffer::TimeSlice now, const aggregation::AggregatedFlexOffer& agg,
       const flexoffer::ScheduledFlexOffer& macro_schedule);
 
+  // Per-offer bookkeeping. Each entry point resolves an offer's lifecycle
+  // slot once; the slot's record also holds the offer's store row, so the
+  // lifecycle and the store are then addressed without further lookups.
+
+  /// Returns true for an OK `st`. Otherwise the failed move is one a correct
+  /// engine cannot produce: counts it in invariant_violations, logs it,
+  /// asserts in debug builds and returns false.
+  bool Invariant(const Status& st);
+  /// The slot of an offer the engine admitted; a miss is an invariant
+  /// violation. The slot's RowAt() addresses the store: a rejected offer's
+  /// kNoRow is past the table, so the store's row calls refuse it.
+  std::optional<OfferSlot> AdmittedSlot(flexoffer::FlexOfferId id);
+  /// Closes an admitted offer that was never scheduled (pipeline deadline,
+  /// stale macro, exhausted macro ids, failed gate): store and lifecycle
+  /// move to expired, offers_expired_in_pipeline counts it and OfferExpired
+  /// is emitted.
+  void ExpireUnscheduled(flexoffer::FlexOfferId id, flexoffer::ActorId owner,
+                         flexoffer::TimeSlice now);
+
   Config config_;
   storage::DataStore store_;
   negotiation::Negotiator negotiator_;
@@ -317,6 +343,17 @@ class EdmsEngine {
   /// needed to disaggregate the schedules when they return.
   std::unordered_map<flexoffer::FlexOfferId, aggregation::AggregatedFlexOffer>
       pending_macros_;
+
+  /// SubmitOffers() scratch, kept so that intake does not allocate per
+  /// batch: the batch's ids (sorted to find repeats) and the agreed offers
+  /// by index into the caller's span.
+  struct Admitted {
+    size_t index = 0;
+    OfferSlot slot = 0;
+    double price_eur = 0.0;
+  };
+  std::vector<flexoffer::FlexOfferId> batch_ids_;
+  std::vector<Admitted> admitted_;
 };
 
 }  // namespace mirabel::edms

@@ -54,43 +54,55 @@ bool TransitionAllowed(OfferState from, OfferState to) {
   return false;
 }
 
-Status OfferLifecycle::Begin(FlexOfferId id) {
-  auto [it, inserted] = states_.emplace(id, OfferState::kOffered);
-  (void)it;
-  if (!inserted) {
+namespace {
+
+Status UnknownOffer(FlexOfferId id) {
+  return Status::NotFound("offer " + std::to_string(id) + " has no lifecycle");
+}
+
+}  // namespace
+
+Result<OfferSlot> OfferLifecycle::Begin(FlexOfferId id) {
+  if (records_.size() > storage::FlatIndex<FlexOfferId>::kMaxValue) {
+    return Status::ResourceExhausted("offer lifecycle slots exhausted");
+  }
+  const OfferSlot slot = static_cast<OfferSlot>(records_.size());
+  if (!slots_.Insert(id, slot)) {
     return Status::AlreadyExists("offer " + std::to_string(id) +
                                  " already has a lifecycle");
   }
+  records_.push_back(Record{.id = id});
   ++counts_[static_cast<int>(OfferState::kOffered)];
-  return Status::OK();
+  return slot;
 }
 
-Result<OfferState> OfferLifecycle::Transition(FlexOfferId id, OfferState to) {
-  auto it = states_.find(id);
-  if (it == states_.end()) {
-    return Status::NotFound("offer " + std::to_string(id) +
-                            " has no lifecycle");
-  }
-  OfferState from = it->second;
+Status OfferLifecycle::TransitionAt(OfferSlot slot, OfferState to) {
+  Record& record = records_[slot];
+  const OfferState from = record.state;
   if (!TransitionAllowed(from, to)) {
     return Status::FailedPrecondition(
         "illegal lifecycle transition " + std::string(ToString(from)) +
         " -> " + std::string(ToString(to)) + " for offer " +
-        std::to_string(id));
+        std::to_string(record.id));
   }
-  it->second = to;
+  record.state = to;
   --counts_[static_cast<int>(from)];
   ++counts_[static_cast<int>(to)];
+  return Status::OK();
+}
+
+Result<OfferState> OfferLifecycle::Transition(FlexOfferId id, OfferState to) {
+  std::optional<OfferSlot> slot = SlotOf(id);
+  if (!slot.has_value()) return UnknownOffer(id);
+  const OfferState from = StateAt(*slot);
+  MIRABEL_RETURN_IF_ERROR(TransitionAt(*slot, to));
   return from;
 }
 
 Result<OfferState> OfferLifecycle::StateOf(FlexOfferId id) const {
-  auto it = states_.find(id);
-  if (it == states_.end()) {
-    return Status::NotFound("offer " + std::to_string(id) +
-                            " has no lifecycle");
-  }
-  return it->second;
+  std::optional<OfferSlot> slot = SlotOf(id);
+  if (!slot.has_value()) return UnknownOffer(id);
+  return StateAt(*slot);
 }
 
 size_t OfferLifecycle::CountInState(OfferState state) const {

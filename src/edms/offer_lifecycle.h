@@ -2,11 +2,14 @@
 #define MIRABEL_EDMS_OFFER_LIFECYCLE_H_
 
 #include <cstddef>
+#include <cstdint>
+#include <optional>
 #include <string_view>
-#include <unordered_map>
+#include <vector>
 
 #include "common/result.h"
 #include "flexoffer/flex_offer.h"
+#include "storage/flat_index.h"
 
 namespace mirabel::edms {
 
@@ -51,13 +54,49 @@ bool IsTerminal(OfferState state);
 /// terminal state — is illegal.
 bool TransitionAllowed(OfferState from, OfferState to);
 
+/// Handle of an offer's lifecycle record: slots are dense, assigned in
+/// admission order and never reused, so a slot stays valid for the
+/// lifecycle's lifetime.
+using OfferSlot = uint32_t;
+
 /// Tracks the lifecycle state of every offer an engine has seen and enforces
 /// the transition relation: illegal moves return FailedPrecondition and leave
 /// the state untouched.
+///
+/// One record per admitted offer in a dense vector, addressed by its slot;
+/// a flat id index (storage::FlatIndex) maps id -> slot. Hot callers resolve
+/// an offer's slot once per event with SlotOf() and use the slot calls; the
+/// id calls are that lookup followed by the slot call. Besides the state, a
+/// record keeps the row its owner stored the offer at (BindRow), so one
+/// lookup also addresses the owner's store.
 class OfferLifecycle {
  public:
-  /// Admits `id` in kOffered; AlreadyExists for known ids.
-  Status Begin(flexoffer::FlexOfferId id);
+  /// RowAt() of a record no row was bound to; above every table row
+  /// (storage::Table caps rows at FlatIndex::kMaxValue).
+  static constexpr size_t kNoRow = UINT32_MAX;
+
+  /// Admits `id` in kOffered at slot size(); AlreadyExists for known ids,
+  /// ResourceExhausted once the 32-bit slots run out.
+  Result<OfferSlot> Begin(flexoffer::FlexOfferId id);
+
+  /// Slot of `id`; nullopt when never admitted. Builds no error message, so
+  /// a miss is as cheap as a hit.
+  std::optional<OfferSlot> SlotOf(flexoffer::FlexOfferId id) const {
+    return slots_.Find(id);
+  }
+
+  /// Moves the offer in `slot` (< size()) to `to`; FailedPrecondition for an
+  /// illegal transition.
+  Status TransitionAt(OfferSlot slot, OfferState to);
+
+  OfferState StateAt(OfferSlot slot) const { return records_[slot].state; }
+
+  /// Binds the owner's store row (< kNoRow) to the offer in `slot`.
+  void BindRow(OfferSlot slot, size_t row) {
+    records_[slot].row = static_cast<uint32_t>(row);
+  }
+  /// The row bound to `slot`; kNoRow before BindRow.
+  size_t RowAt(OfferSlot slot) const { return records_[slot].row; }
 
   /// Moves `id` to `to`. NotFound for unknown ids, FailedPrecondition for
   /// illegal transitions. Returns the previous state on success.
@@ -69,10 +108,18 @@ class OfferLifecycle {
   /// Number of tracked offers currently in `state`.
   size_t CountInState(OfferState state) const;
 
-  size_t size() const { return states_.size(); }
+  size_t size() const { return records_.size(); }
 
  private:
-  std::unordered_map<flexoffer::FlexOfferId, OfferState> states_;
+  struct Record {
+    flexoffer::FlexOfferId id = 0;
+    uint32_t row = static_cast<uint32_t>(kNoRow);
+    OfferState state = OfferState::kOffered;
+  };
+  static_assert(sizeof(Record) == 16);
+
+  storage::FlatIndex<flexoffer::FlexOfferId> slots_;
+  std::vector<Record> records_;
   size_t counts_[kNumOfferStates] = {};
 };
 

@@ -467,7 +467,7 @@ Status ShardedEdmsRuntime::RecordExecution(FlexOfferId id, TimeSlice now,
   // on-strand when streaming.
   for (size_t i = 0; i < shards_.size(); ++i) {
     if (!config_.streaming_intake) {
-      if (!shards_[i]->engine->lifecycle().StateOf(id).ok()) continue;
+      if (!shards_[i]->engine->lifecycle().SlotOf(id).has_value()) continue;
       Status st = Status::OK();
       RunOnShard(i, [this, i, id, now, energy_kwh, &st] {
         st = shards_[i]->engine->RecordExecution(id, now, energy_kwh);
@@ -478,7 +478,7 @@ Status ShardedEdmsRuntime::RecordExecution(FlexOfferId id, TimeSlice now,
     bool found = false;
     RunOnShard(i, [this, i, id, now, energy_kwh, &st, &found] {
       EdmsEngine& engine = *shards_[i]->engine;
-      if (!engine.lifecycle().StateOf(id).ok()) return;
+      if (!engine.lifecycle().SlotOf(id).has_value()) return;
       found = true;
       st = engine.RecordExecution(id, now, energy_kwh);
     });
@@ -615,8 +615,8 @@ size_t ShardedEdmsRuntime::ShardOf(ActorId owner) const {
 bool ShardedEdmsRuntime::HasSeenOffer(const FlexOffer& offer) const {
   return shards_[ShardOf(offer.owner)]
       ->engine->lifecycle()
-      .StateOf(offer.id)
-      .ok();
+      .SlotOf(offer.id)
+      .has_value();
 }
 
 }  // namespace mirabel::edms

@@ -25,10 +25,7 @@ DataStore::DataStore()
       energy_types_(
           [](const EnergyTypeDim& e) { return static_cast<int>(e.id); }),
       market_areas_([](const MarketAreaDim& m) { return m.id; }),
-      measurements_([](const MeasurementFact& m) { return m.id; }),
-      flex_offers_([](const FlexOfferFact& f) { return f.id; }),
-      prices_([](const PriceFact& p) { return p.id; }),
-      contracts_([](const ContractFact& c) { return c.id; }) {}
+      flex_offers_([](const FlexOfferFact& f) { return f.id; }) {}
 
 Status DataStore::AddActor(const ActorDim& actor) {
   return actors_.Insert(actor);
@@ -57,15 +54,13 @@ Result<const MarketAreaDim*> DataStore::FindMarketArea(int64_t id) const {
 
 int64_t DataStore::AppendMeasurement(ActorId actor, TimeSlice slice,
                                      EnergyType type, double energy_kwh) {
-  MeasurementFact fact;
-  fact.id = next_measurement_id_++;
+  MeasurementFact& fact = measurements_.emplace_back();
+  fact.id = static_cast<int64_t>(measurements_.size());
   fact.actor = actor;
   fact.slice = slice;
   fact.energy_type = type;
   fact.energy_kwh = energy_kwh;
-  Status st = measurements_.Insert(std::move(fact));
-  (void)st;  // fresh id: cannot collide
-  return next_measurement_id_ - 1;
+  return fact.id;
 }
 
 std::vector<double> DataStore::MeasurementSeries(ActorId actor, EnergyType type,
@@ -73,25 +68,24 @@ std::vector<double> DataStore::MeasurementSeries(ActorId actor, EnergyType type,
                                                  TimeSlice to) const {
   size_t n = to > from ? static_cast<size_t>(to - from) : 0;
   std::vector<double> out(n, 0.0);
-  measurements_.ForEach([&](const MeasurementFact& m) {
-    if (m.actor != actor || m.energy_type != type) return;
-    if (m.slice < from || m.slice >= to) return;
+  for (const MeasurementFact& m : measurements_) {
+    if (m.actor != actor || m.energy_type != type) continue;
+    if (m.slice < from || m.slice >= to) continue;
     out[static_cast<size_t>(m.slice - from)] += m.energy_kwh;
-  });
+  }
   return out;
 }
 
-Status DataStore::PutFlexOffer(const flexoffer::FlexOffer& offer) {
+Result<size_t> DataStore::PutFlexOffer(const flexoffer::FlexOffer& offer) {
   MIRABEL_RETURN_IF_ERROR(offer.Validate());
   FlexOfferFact fact;
   fact.id = offer.id;
   fact.offer = offer;
   fact.state = FlexOfferState::kOffered;
   MIRABEL_RETURN_IF_ERROR(flex_offers_.Insert(std::move(fact)));
-  if (pending_.built) {
-    pending_.Push(offer.assignment_before, flex_offers_.size() - 1);
-  }
-  return Status::OK();
+  const size_t row = flex_offers_.size() - 1;
+  if (pending_.built) pending_.Push(offer.assignment_before, row);
+  return row;
 }
 
 Result<const FlexOfferFact*> DataStore::FindFlexOffer(FlexOfferId id) const {
@@ -126,13 +120,24 @@ bool LegalTransition(FlexOfferState from, FlexOfferState to) {
   return false;
 }
 
+Status NoRow(size_t row) {
+  return Status::NotFound("no flex-offer row " + std::to_string(row));
+}
+
 }  // namespace
 
 Status DataStore::TransitionFlexOffer(FlexOfferId id, FlexOfferState to) {
-  MIRABEL_ASSIGN_OR_RETURN(FlexOfferFact * fact, flex_offers_.FindMutable(id));
+  MIRABEL_ASSIGN_OR_RETURN(size_t row, flex_offers_.Position(id));
+  return TransitionFlexOfferAt(row, to);
+}
+
+Status DataStore::TransitionFlexOfferAt(size_t row, FlexOfferState to) {
+  FlexOfferFact* fact = MutableFlexOfferAt(row);
+  if (fact == nullptr) return NoRow(row);
   if (!LegalTransition(fact->state, to)) {
     return Status::FailedPrecondition(
-        "illegal flex-offer state transition for offer " + std::to_string(id));
+        "illegal flex-offer state transition for offer " +
+        std::to_string(fact->id));
   }
   fact->state = to;
   return Status::OK();
@@ -141,21 +146,33 @@ Status DataStore::TransitionFlexOffer(FlexOfferId id, FlexOfferState to) {
 Status DataStore::AttachSchedule(const flexoffer::ScheduledFlexOffer& schedule) {
   MIRABEL_ASSIGN_OR_RETURN(size_t row,
                            flex_offers_.Position(schedule.offer_id));
-  FlexOfferFact& fact = flex_offers_.at(row);
-  MIRABEL_RETURN_IF_ERROR(schedule.ValidateAgainst(fact.offer));
-  if (fact.state != FlexOfferState::kAccepted &&
-      fact.state != FlexOfferState::kAggregated) {
+  return AttachScheduleAt(row, schedule);
+}
+
+Status DataStore::AttachScheduleAt(
+    size_t row, const flexoffer::ScheduledFlexOffer& schedule) {
+  FlexOfferFact* fact = MutableFlexOfferAt(row);
+  if (fact == nullptr) return NoRow(row);
+  MIRABEL_RETURN_IF_ERROR(schedule.ValidateAgainst(fact->offer));
+  if (fact->state != FlexOfferState::kAccepted &&
+      fact->state != FlexOfferState::kAggregated) {
     return Status::FailedPrecondition(
         "offer is not awaiting a schedule");
   }
-  fact.schedule = schedule;
-  fact.state = FlexOfferState::kScheduled;
-  if (scheduled_.built) scheduled_.Push(ScheduleEnd(fact), row);
+  fact->schedule = schedule;
+  fact->state = FlexOfferState::kScheduled;
+  if (scheduled_.built) scheduled_.Push(ScheduleEnd(*fact), row);
   return Status::OK();
 }
 
 Status DataStore::SetAgreedPrice(FlexOfferId id, double price_eur) {
-  MIRABEL_ASSIGN_OR_RETURN(FlexOfferFact * fact, flex_offers_.FindMutable(id));
+  MIRABEL_ASSIGN_OR_RETURN(size_t row, flex_offers_.Position(id));
+  return SetAgreedPriceAt(row, price_eur);
+}
+
+Status DataStore::SetAgreedPriceAt(size_t row, double price_eur) {
+  FlexOfferFact* fact = MutableFlexOfferAt(row);
+  if (fact == nullptr) return NoRow(row);
   fact->agreed_price_eur = price_eur;
   return Status::OK();
 }
@@ -168,57 +185,49 @@ std::vector<FlexOfferFact> DataStore::FlexOffersInState(
 
 int64_t DataStore::AppendPrice(int64_t market_area, TimeSlice slice,
                                double buy_eur, double sell_eur) {
-  PriceFact fact;
-  fact.id = next_price_id_++;
+  PriceFact& fact = prices_.emplace_back();
+  fact.id = static_cast<int64_t>(prices_.size());
   fact.market_area = market_area;
   fact.slice = slice;
   fact.buy_price_eur = buy_eur;
   fact.sell_price_eur = sell_eur;
-  Status st = prices_.Insert(std::move(fact));
-  (void)st;
-  return next_price_id_ - 1;
+  return fact.id;
 }
 
 Result<PriceFact> DataStore::LatestPrice(int64_t market_area,
                                          TimeSlice slice) const {
-  std::vector<PriceFact> hits =
-      prices_.Scan([market_area, slice](const PriceFact& p) {
-        return p.market_area == market_area && p.slice == slice;
-      });
-  if (hits.empty()) return Status::NotFound("no price for slice");
   // Latest insertion (largest id) wins.
-  auto it = std::max_element(
-      hits.begin(), hits.end(),
-      [](const PriceFact& a, const PriceFact& b) { return a.id < b.id; });
+  auto it = std::find_if(prices_.rbegin(), prices_.rend(),
+                         [market_area, slice](const PriceFact& p) {
+                           return p.market_area == market_area &&
+                                  p.slice == slice;
+                         });
+  if (it == prices_.rend()) return Status::NotFound("no price for slice");
   return *it;
 }
 
 int64_t DataStore::AddContract(ActorId prosumer, ActorId brp,
                                double tariff_eur_per_kwh, TimeSlice from,
                                TimeSlice to) {
-  ContractFact fact;
-  fact.id = next_contract_id_++;
+  ContractFact& fact = contracts_.emplace_back();
+  fact.id = static_cast<int64_t>(contracts_.size());
   fact.prosumer = prosumer;
   fact.brp = brp;
   fact.tariff_eur_per_kwh = tariff_eur_per_kwh;
   fact.valid_from = from;
   fact.valid_to = to;
-  Status st = contracts_.Insert(std::move(fact));
-  (void)st;
-  return next_contract_id_ - 1;
+  return fact.id;
 }
 
 Result<ContractFact> DataStore::OpenContract(ActorId prosumer,
                                              TimeSlice slice) const {
-  std::vector<ContractFact> hits =
-      contracts_.Scan([prosumer, slice](const ContractFact& c) {
-        return c.prosumer == prosumer && c.valid_from <= slice &&
-               slice < c.valid_to;
-      });
-  if (hits.empty()) return Status::NotFound("no open contract");
-  auto it = std::max_element(
-      hits.begin(), hits.end(),
-      [](const ContractFact& a, const ContractFact& b) { return a.id < b.id; });
+  // The latest covering contract (largest id) wins.
+  auto it = std::find_if(contracts_.rbegin(), contracts_.rend(),
+                         [prosumer, slice](const ContractFact& c) {
+                           return c.prosumer == prosumer &&
+                                  c.valid_from <= slice && slice < c.valid_to;
+                         });
+  if (it == contracts_.rend()) return Status::NotFound("no open contract");
   return *it;
 }
 

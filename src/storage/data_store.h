@@ -55,8 +55,10 @@ class DataStore {
 
   // -- Flex-offers -----------------------------------------------------------
 
-  /// Stores a new offer in state kOffered; AlreadyExists on duplicate id.
-  Status PutFlexOffer(const flexoffer::FlexOffer& offer);
+  /// Stores a validated new offer in state kOffered and returns its row;
+  /// AlreadyExists on duplicate id. Rows are append-only and never move: an
+  /// offer's row is its insertion rank for the store's lifetime.
+  Result<size_t> PutFlexOffer(const flexoffer::FlexOffer& offer);
 
   Result<const FlexOfferFact*> FindFlexOffer(flexoffer::FlexOfferId id) const;
 
@@ -68,11 +70,26 @@ class DataStore {
   Status TransitionFlexOffer(flexoffer::FlexOfferId id, FlexOfferState to);
 
   /// Attaches the schedule and moves the offer from kAccepted or kAggregated
-  /// to kScheduled.
+  /// to kScheduled. The schedule must pass ValidateAgainst() its offer.
   Status AttachSchedule(const flexoffer::ScheduledFlexOffer& schedule);
 
   /// Records the negotiated price on the offer fact.
   Status SetAgreedPrice(flexoffer::FlexOfferId id, double price_eur);
+
+  // Row-addressed forms of the calls above, for callers that keep the row
+  // PutFlexOffer returned (the engine resolves each offer once per event).
+  // They run the id forms' checks — the id forms are a lookup followed by
+  // these calls — and return NotFound for a row past the table.
+
+  /// The offer at `row` < num_flex_offers().
+  const FlexOfferFact& FlexOfferAt(size_t row) const {
+    return flex_offers_.at(row);
+  }
+  Status TransitionFlexOfferAt(size_t row, FlexOfferState to);
+  /// Also checks that `schedule.offer_id` names the offer at `row`.
+  Status AttachScheduleAt(size_t row,
+                          const flexoffer::ScheduledFlexOffer& schedule);
+  Status SetAgreedPriceAt(size_t row, double price_eur);
 
   /// Copies of all offers currently in `state`, in row order. A full-table
   /// scan for audits and checks; the tick and gate paths use the visitors
@@ -108,6 +125,8 @@ class DataStore {
   size_t num_flex_offers() const { return flex_offers_.size(); }
 
   // -- Prices / contracts ------------------------------------------------------
+  // Append-only like measurements; both lookups return the latest matching
+  // row.
 
   int64_t AppendPrice(int64_t market_area, flexoffer::TimeSlice slice,
                       double buy_eur, double sell_eur);
@@ -126,13 +145,12 @@ class DataStore {
   Table<ActorDim, flexoffer::ActorId> actors_;
   Table<EnergyTypeDim, int> energy_types_;
   Table<MarketAreaDim, int64_t> market_areas_;
-  Table<MeasurementFact, int64_t> measurements_;
   Table<FlexOfferFact, flexoffer::FlexOfferId> flex_offers_;
-  Table<PriceFact, int64_t> prices_;
-  Table<ContractFact, int64_t> contracts_;
-  int64_t next_measurement_id_ = 1;
-  int64_t next_price_id_ = 1;
-  int64_t next_contract_id_ = 1;
+  // Facts that are only appended and scanned: their ids are their 1-based
+  // insertion ranks, so they need no key index.
+  std::vector<MeasurementFact> measurements_;
+  std::vector<PriceFact> prices_;
+  std::vector<ContractFact> contracts_;
 
   /// Min-heap of (due slice, row position) over `flex_offers_`. It holds one
   /// entry per row in the queue's states plus stale entries of rows that
@@ -166,6 +184,11 @@ class DataStore {
 
   template <auto InState, auto DueOf, typename Fn>
   void VisitDue(DueQueue& queue, flexoffer::TimeSlice t, Fn& fn);
+
+  /// The fact at `row`, or nullptr past the table.
+  FlexOfferFact* MutableFlexOfferAt(size_t row) {
+    return row < flex_offers_.size() ? &flex_offers_.at(row) : nullptr;
+  }
 
   /// Keyed by Deadline(); built by the first VisitPendingDueBy.
   DueQueue pending_;

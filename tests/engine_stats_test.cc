@@ -31,14 +31,17 @@ EngineStats Filled(int64_t base) {
   s.metering_failures = base + 16;
   s.offers_shed = base + 17;
   s.offers_dropped_at_shutdown = base + 18;
-  s.portfolio_wins_greedy = base + 19;
-  s.portfolio_wins_ea = base + 20;
-  s.portfolio_wins_bnb = base + 21;
-  s.bnb_optimal_proven = base + 22;
-  s.robust_runs = base + 23;
-  s.robust_scenario_evaluations = base + 24;
-  s.robust_expected_cost_eur = static_cast<double>(base) + 25.5;
-  s.robust_cvar_eur = static_cast<double>(base) + 26.5;
+  s.macros_expired_unscheduled = base + 19;
+  s.executions_timed_out = base + 20;
+  s.invariant_violations = base + 21;
+  s.portfolio_wins_greedy = base + 22;
+  s.portfolio_wins_ea = base + 23;
+  s.portfolio_wins_bnb = base + 24;
+  s.bnb_optimal_proven = base + 25;
+  s.robust_runs = base + 26;
+  s.robust_scenario_evaluations = base + 27;
+  s.robust_expected_cost_eur = static_cast<double>(base) + 28.5;
+  s.robust_cvar_eur = static_cast<double>(base) + 29.5;
   return s;
 }
 
@@ -57,22 +60,24 @@ void ExpectSum(const EngineStats& merged, int64_t a, int64_t b) {
                    static_cast<double>(a + b) + 23.0);
   EXPECT_DOUBLE_EQ(merged.imbalance_after_kwh,
                    static_cast<double>(a + b) + 25.0);
-  EXPECT_DOUBLE_EQ(merged.schedule_cost_eur,
-                   static_cast<double>(a + b) + 27.0);
+  EXPECT_DOUBLE_EQ(merged.schedule_cost_eur, static_cast<double>(a + b) + 27.0);
   EXPECT_DOUBLE_EQ(merged.budget_saved_s, static_cast<double>(a + b) + 29.0);
   EXPECT_EQ(merged.intake_errors, a + b + 30);
   EXPECT_EQ(merged.metering_failures, a + b + 32);
   EXPECT_EQ(merged.offers_shed, a + b + 34);
   EXPECT_EQ(merged.offers_dropped_at_shutdown, a + b + 36);
-  EXPECT_EQ(merged.portfolio_wins_greedy, a + b + 38);
-  EXPECT_EQ(merged.portfolio_wins_ea, a + b + 40);
-  EXPECT_EQ(merged.portfolio_wins_bnb, a + b + 42);
-  EXPECT_EQ(merged.bnb_optimal_proven, a + b + 44);
-  EXPECT_EQ(merged.robust_runs, a + b + 46);
-  EXPECT_EQ(merged.robust_scenario_evaluations, a + b + 48);
+  EXPECT_EQ(merged.macros_expired_unscheduled, a + b + 38);
+  EXPECT_EQ(merged.executions_timed_out, a + b + 40);
+  EXPECT_EQ(merged.invariant_violations, a + b + 42);
+  EXPECT_EQ(merged.portfolio_wins_greedy, a + b + 44);
+  EXPECT_EQ(merged.portfolio_wins_ea, a + b + 46);
+  EXPECT_EQ(merged.portfolio_wins_bnb, a + b + 48);
+  EXPECT_EQ(merged.bnb_optimal_proven, a + b + 50);
+  EXPECT_EQ(merged.robust_runs, a + b + 52);
+  EXPECT_EQ(merged.robust_scenario_evaluations, a + b + 54);
   EXPECT_DOUBLE_EQ(merged.robust_expected_cost_eur,
-                   static_cast<double>(a + b) + 51.0);
-  EXPECT_DOUBLE_EQ(merged.robust_cvar_eur, static_cast<double>(a + b) + 53.0);
+                   static_cast<double>(a + b) + 57.0);
+  EXPECT_DOUBLE_EQ(merged.robust_cvar_eur, static_cast<double>(a + b) + 59.0);
 }
 
 TEST(EngineStatsTest, MergeCoversEveryField) {

@@ -1,10 +1,12 @@
 // Full transition-table coverage of the flex-offer lifecycle state machine:
 // every legal edge succeeds, every illegal edge is FailedPrecondition, and
-// the tracked counts stay consistent.
+// the tracked counts stay consistent — through the id entry points and
+// through the slot entry points the engine uses.
 #include "edms/offer_lifecycle.h"
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <set>
 #include <utility>
 #include <vector>
@@ -74,7 +76,11 @@ void DriveTo(OfferLifecycle& lc, flexoffer::FlexOfferId id, OfferState state) {
   ASSERT_EQ(*lc.StateOf(id), state);
 }
 
-TEST(OfferLifecycleTest, FullTransitionTable) {
+/// Runs the whole from x to table against a fresh lifecycle per edge, moving
+/// by id (Transition, which also returns the previous state) or by slot
+/// (TransitionAt). The offer under test sits at slot 1, behind a bystander
+/// at slot 0 that must never move.
+void CheckTransitionTable(bool by_slot) {
   for (OfferState from : kAllStates) {
     for (OfferState to : kAllStates) {
       bool legal = kLegalEdges.count({from, to}) != 0;
@@ -83,19 +89,67 @@ TEST(OfferLifecycleTest, FullTransitionTable) {
 
       // And the stateful object enforces exactly the same relation.
       OfferLifecycle lc;
-      DriveTo(lc, 1, from);
-      Result<OfferState> r = lc.Transition(1, to);
-      if (legal) {
-        ASSERT_TRUE(r.ok()) << ToString(from) << " -> " << ToString(to);
-        EXPECT_EQ(*r, from);  // returns the previous state
-        EXPECT_EQ(*lc.StateOf(1), to);
+      DriveTo(lc, 50, OfferState::kAccepted);
+      DriveTo(lc, 7, from);
+      std::optional<OfferSlot> slot = lc.SlotOf(7);
+      ASSERT_TRUE(slot.has_value());
+      ASSERT_EQ(*slot, 1u);
+      Status st;
+      if (by_slot) {
+        st = lc.TransitionAt(*slot, to);
       } else {
-        ASSERT_FALSE(r.ok()) << ToString(from) << " -> " << ToString(to);
-        EXPECT_EQ(r.status().code(), StatusCode::kFailedPrecondition);
-        EXPECT_EQ(*lc.StateOf(1), from);  // state untouched
+        Result<OfferState> r = lc.Transition(7, to);
+        st = r.status();
+        if (r.ok()) {
+          EXPECT_EQ(*r, from) << ToString(from) << " -> " << ToString(to);
+        }
+      }
+      if (legal) {
+        ASSERT_TRUE(st.ok()) << ToString(from) << " -> " << ToString(to);
+        EXPECT_EQ(lc.StateAt(*slot), to);
+        EXPECT_EQ(*lc.StateOf(7), to);
+      } else {
+        ASSERT_FALSE(st.ok()) << ToString(from) << " -> " << ToString(to);
+        EXPECT_EQ(st.code(), StatusCode::kFailedPrecondition);
+        EXPECT_EQ(lc.StateAt(*slot), from);  // state untouched
+        EXPECT_EQ(*lc.StateOf(7), from);
+      }
+      EXPECT_EQ(*lc.StateOf(50), OfferState::kAccepted);
+      for (OfferState s : kAllStates) {
+        size_t expected = (s == lc.StateAt(*slot) ? 1u : 0u) +
+                          (s == OfferState::kAccepted ? 1u : 0u);
+        EXPECT_EQ(lc.CountInState(s), expected) << ToString(s);
       }
     }
   }
+}
+
+TEST(OfferLifecycleTest, FullTransitionTableById) {
+  CheckTransitionTable(/*by_slot=*/false);
+}
+
+TEST(OfferLifecycleTest, FullTransitionTableBySlot) {
+  CheckTransitionTable(/*by_slot=*/true);
+}
+
+TEST(OfferLifecycleTest, SlotsAreDenseAndCarryTheBoundRow) {
+  OfferLifecycle lc;
+  for (flexoffer::FlexOfferId id : {900u, 3u, 0u, 41u}) {
+    Result<OfferSlot> slot = lc.Begin(id);
+    ASSERT_TRUE(slot.ok());
+    EXPECT_EQ(*slot, lc.size() - 1);
+    EXPECT_EQ(lc.RowAt(*slot), OfferLifecycle::kNoRow);
+  }
+  EXPECT_EQ(*lc.SlotOf(900), 0u);
+  EXPECT_EQ(*lc.SlotOf(0), 2u);
+  EXPECT_FALSE(lc.SlotOf(4).has_value());
+  lc.BindRow(*lc.SlotOf(41), 17);
+  EXPECT_EQ(lc.RowAt(3), 17u);
+  EXPECT_EQ(lc.RowAt(0), OfferLifecycle::kNoRow);
+  // A failed Begin takes no slot.
+  EXPECT_FALSE(lc.Begin(3).ok());
+  EXPECT_EQ(lc.size(), 4u);
+  EXPECT_EQ(*lc.SlotOf(3), 1u);
 }
 
 TEST(OfferLifecycleTest, TerminalStatesHaveNoOutgoingEdges) {
@@ -119,7 +173,7 @@ TEST(OfferLifecycleTest, EveryNonTerminalStateCanExpire) {
 TEST(OfferLifecycleTest, BeginRejectsDuplicates) {
   OfferLifecycle lc;
   ASSERT_TRUE(lc.Begin(7).ok());
-  Status dup = lc.Begin(7);
+  Status dup = lc.Begin(7).status();
   EXPECT_EQ(dup.code(), StatusCode::kAlreadyExists);
 }
 

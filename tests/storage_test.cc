@@ -20,50 +20,6 @@ using flexoffer::FlexOfferId;
 using flexoffer::ScheduledFlexOffer;
 using flexoffer::TimeSlice;
 
-TEST(TableTest, InsertFindErase) {
-  struct Row {
-    int64_t id;
-    int payload;
-  };
-  Table<Row> table([](const Row& r) { return r.id; });
-  ASSERT_TRUE(table.Insert({1, 10}).ok());
-  ASSERT_TRUE(table.Insert({2, 20}).ok());
-  EXPECT_EQ(table.Insert({1, 99}).code(), StatusCode::kAlreadyExists);
-  auto row = table.Find(2);
-  ASSERT_TRUE(row.ok());
-  EXPECT_EQ((*row)->payload, 20);
-  ASSERT_TRUE(table.Erase(1).ok());
-  EXPECT_FALSE(table.Find(1).ok());
-  EXPECT_EQ(table.Erase(1).code(), StatusCode::kNotFound);
-  EXPECT_EQ(table.size(), 1u);
-}
-
-TEST(TableTest, UpsertReplaces) {
-  struct Row {
-    int64_t id;
-    int payload;
-  };
-  Table<Row> table([](const Row& r) { return r.id; });
-  table.Upsert({1, 10});
-  table.Upsert({1, 20});
-  EXPECT_EQ(table.size(), 1u);
-  EXPECT_EQ((*table.Find(1))->payload, 20);
-}
-
-TEST(TableTest, EraseKeepsIndexConsistent) {
-  struct Row {
-    int64_t id;
-  };
-  Table<Row> table([](const Row& r) { return r.id; });
-  for (int64_t i = 1; i <= 10; ++i) {
-    ASSERT_TRUE(table.Insert({i}).ok());
-  }
-  ASSERT_TRUE(table.Erase(3).ok());  // swap-with-last moves row 10
-  for (int64_t i = 1; i <= 10; ++i) {
-    EXPECT_EQ(table.Find(i).ok(), i != 3) << i;
-  }
-}
-
 TEST(TableTest, ScanFilters) {
   struct Row {
     int64_t id;
@@ -123,7 +79,7 @@ FlexOffer MakeOffer(uint64_t id) {
 TEST(DataStoreTest, FlexOfferLifecycleHappyPath) {
   DataStore store;
   ASSERT_TRUE(store.PutFlexOffer(MakeOffer(1)).ok());
-  EXPECT_EQ(store.PutFlexOffer(MakeOffer(1)).code(),
+  EXPECT_EQ(store.PutFlexOffer(MakeOffer(1)).status().code(),
             StatusCode::kAlreadyExists);
   ASSERT_TRUE(store.TransitionFlexOffer(1, FlexOfferState::kAccepted).ok());
   ASSERT_TRUE(store.TransitionFlexOffer(1, FlexOfferState::kAggregated).ok());
@@ -152,6 +108,39 @@ TEST(DataStoreTest, IllegalTransitionsRejected) {
   EXPECT_FALSE(store.TransitionFlexOffer(1, FlexOfferState::kAccepted).ok());
   EXPECT_EQ(store.TransitionFlexOffer(42, FlexOfferState::kAccepted).code(),
             StatusCode::kNotFound);
+}
+
+TEST(DataStoreTest, RowAddressedMutatorsMatchIdForms) {
+  DataStore store;
+  for (uint64_t id : {30u, 10u, 20u}) {
+    Result<size_t> row = store.PutFlexOffer(MakeOffer(id));
+    ASSERT_TRUE(row.ok());
+    EXPECT_EQ(*row, store.num_flex_offers() - 1);  // rows are insertion ranks
+  }
+  const size_t row = 1;  // offer 10
+  EXPECT_EQ(store.FlexOfferAt(row).id, 10u);
+  EXPECT_EQ(store.TransitionFlexOfferAt(row, FlexOfferState::kScheduled).code(),
+            StatusCode::kFailedPrecondition);
+  ASSERT_TRUE(store.TransitionFlexOfferAt(row, FlexOfferState::kAccepted).ok());
+  ASSERT_TRUE(store.SetAgreedPriceAt(row, 0.75).ok());
+  EXPECT_DOUBLE_EQ((*store.FindFlexOffer(10))->agreed_price_eur, 0.75);
+  // The schedule must fit the offer and name it.
+  EXPECT_FALSE(store.AttachScheduleAt(row, {10, 30, {1.5, 1.5}}).ok());
+  EXPECT_FALSE(store.AttachScheduleAt(row, {20, 12, {1.5, 1.5}}).ok());
+  ASSERT_TRUE(store.AttachScheduleAt(row, {10, 12, {1.5, 1.5}}).ok());
+  EXPECT_EQ(store.FlexOfferAt(row).state, FlexOfferState::kScheduled);
+  EXPECT_EQ(store.FlexOfferAt(row).schedule.start, 12);
+  ASSERT_TRUE(store.TransitionFlexOfferAt(row, FlexOfferState::kExecuted).ok());
+  EXPECT_FALSE(store.TransitionFlexOfferAt(row, FlexOfferState::kExpired).ok());
+  // The other rows did not move.
+  EXPECT_EQ(store.FlexOfferAt(0).state, FlexOfferState::kOffered);
+  EXPECT_EQ(store.FlexOfferAt(2).state, FlexOfferState::kOffered);
+  // A row past the table is NotFound.
+  EXPECT_EQ(store.TransitionFlexOfferAt(3, FlexOfferState::kAccepted).code(),
+            StatusCode::kNotFound);
+  EXPECT_EQ(store.AttachScheduleAt(3, {10, 12, {1.5, 1.5}}).code(),
+            StatusCode::kNotFound);
+  EXPECT_EQ(store.SetAgreedPriceAt(3, 1.0).code(), StatusCode::kNotFound);
 }
 
 TEST(DataStoreTest, AttachScheduleValidatesAgainstOffer) {
