@@ -11,7 +11,7 @@ namespace mirabel::datagen {
 /// Substitute for the UK NationalGrid metered half-hourly demand dataset used
 /// in the paper's forecasting experiments (Fig. 4). That dataset is not
 /// redistributable, so we synthesise a series with the same structure the HWT
-/// and EGRV models exploit: a base load with strong daily, weekly and annual
+/// model exploits: a base load with strong daily, weekly and annual
 /// seasonality, calendar effects (weekend / holiday dips) and autocorrelated
 /// noise (paper §5: "multi-seasonality (daily, weekly, annual)").
 struct DemandSeriesConfig {
@@ -71,7 +71,7 @@ struct WindSeriesConfig {
 /// Generates wind power output (MW) per period.
 std::vector<double> GenerateWindSeries(const WindSeriesConfig& config);
 
-/// Deterministic holiday calendar used by the generators and the EGRV model:
+/// Deterministic holiday calendar used by the demand generator:
 /// a fixed set of day-of-year values (new year, spring/summer bank holidays,
 /// Christmas period) treated as holidays every year.
 bool IsHolidayDayOfYear(int day_of_year);

@@ -199,8 +199,8 @@ class EdmsEngine {
     /// Weight of the tail term: rank = mean + weight * (CVaR - mean).
     double ensemble_risk_weight = 0.5;
     /// Fitted forecast-error pool the gate ensembles draw from — e.g. a
-    /// HwtModel's or EgrvModel's residuals() after fitting the baseline
-    /// series (the same models a ForecastBaselineProvider wraps).
+    /// HwtModel's residuals() after fitting the baseline series (the same
+    /// model a ForecastBaselineProvider wraps).
     std::shared_ptr<const std::vector<double>> forecast_residuals;
     /// Fan-out seam for the per-scenario evaluations; null evaluates
     /// serially on the gate thread. The WorkerPoolExecutor deadlock

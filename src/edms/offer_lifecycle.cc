@@ -54,14 +54,6 @@ bool TransitionAllowed(OfferState from, OfferState to) {
   return false;
 }
 
-namespace {
-
-Status UnknownOffer(FlexOfferId id) {
-  return Status::NotFound("offer " + std::to_string(id) + " has no lifecycle");
-}
-
-}  // namespace
-
 Result<OfferSlot> OfferLifecycle::Begin(FlexOfferId id) {
   if (records_.size() > storage::FlatIndex<FlexOfferId>::kMaxValue) {
     return Status::ResourceExhausted("offer lifecycle slots exhausted");
@@ -89,20 +81,6 @@ Status OfferLifecycle::TransitionAt(OfferSlot slot, OfferState to) {
   --counts_[static_cast<int>(from)];
   ++counts_[static_cast<int>(to)];
   return Status::OK();
-}
-
-Result<OfferState> OfferLifecycle::Transition(FlexOfferId id, OfferState to) {
-  std::optional<OfferSlot> slot = SlotOf(id);
-  if (!slot.has_value()) return UnknownOffer(id);
-  const OfferState from = StateAt(*slot);
-  MIRABEL_RETURN_IF_ERROR(TransitionAt(*slot, to));
-  return from;
-}
-
-Result<OfferState> OfferLifecycle::StateOf(FlexOfferId id) const {
-  std::optional<OfferSlot> slot = SlotOf(id);
-  if (!slot.has_value()) return UnknownOffer(id);
-  return StateAt(*slot);
 }
 
 size_t OfferLifecycle::CountInState(OfferState state) const {

@@ -64,11 +64,10 @@ using OfferSlot = uint32_t;
 /// the state untouched.
 ///
 /// One record per admitted offer in a dense vector, addressed by its slot;
-/// a flat id index (storage::FlatIndex) maps id -> slot. Hot callers resolve
-/// an offer's slot once per event with SlotOf() and use the slot calls; the
-/// id calls are that lookup followed by the slot call. Besides the state, a
-/// record keeps the row its owner stored the offer at (BindRow), so one
-/// lookup also addresses the owner's store.
+/// a flat id index (storage::FlatIndex) maps id -> slot. Callers resolve an
+/// offer's slot once per event with SlotOf() and then use the slot calls.
+/// Besides the state, a record keeps the row its owner stored the offer at
+/// (BindRow), so one lookup also addresses the owner's store.
 class OfferLifecycle {
  public:
   /// RowAt() of a record no row was bound to; above every table row
@@ -97,13 +96,6 @@ class OfferLifecycle {
   }
   /// The row bound to `slot`; kNoRow before BindRow.
   size_t RowAt(OfferSlot slot) const { return records_[slot].row; }
-
-  /// Moves `id` to `to`. NotFound for unknown ids, FailedPrecondition for
-  /// illegal transitions. Returns the previous state on success.
-  Result<OfferState> Transition(flexoffer::FlexOfferId id, OfferState to);
-
-  /// Current state of `id`; NotFound when never admitted.
-  Result<OfferState> StateOf(flexoffer::FlexOfferId id) const;
 
   /// Number of tracked offers currently in `state`.
   size_t CountInState(OfferState state) const;

@@ -10,10 +10,6 @@ namespace mirabel::forecasting {
 Forecaster::Forecaster(const ForecasterConfig& config)
     : config_(config), model_(config.seasonal_periods) {}
 
-void Forecaster::AttachContextRepository(ContextRepository* repository) {
-  repository_ = repository;
-}
-
 Status Forecaster::Train(const TimeSeries& history) {
   std::unique_ptr<ParameterEstimator> estimator =
       MakeEstimator(config_.estimator);
@@ -21,7 +17,6 @@ Status Forecaster::Train(const TimeSeries& history) {
     return Status::InvalidArgument("unknown estimator: " + config_.estimator);
   }
 
-  history_ = history;
   Objective objective = [this, &history](const std::vector<double>& params) {
     Result<double> sse = model_.FitWithParams(history, params);
     return sse.ok() ? *sse : std::numeric_limits<double>::infinity();
@@ -32,15 +27,13 @@ Status Forecaster::Train(const TimeSeries& history) {
   if (est.best_params.empty()) {
     return Status::Internal("parameter estimation produced no candidate");
   }
-  MIRABEL_ASSIGN_OR_RETURN(double sse,
-                           model_.FitWithParams(history, est.best_params));
+  MIRABEL_RETURN_IF_ERROR(
+      model_.FitWithParams(history, est.best_params).status());
 
-  if (repository_ != nullptr) {
-    (void)repository_->Store(
-        MakeSeriesContext(history.values(), history.periods_per_day()),
-        est.best_params, sse);
-  }
-
+  // Commit only now. A fit changes the model only on success, and every
+  // failure above means no fit succeeded, so the model is unchanged and the
+  // history, window and counters must keep matching it.
+  history_ = history;
   window_errors_.clear();
   observations_since_estimation_ = 0;
   trained_ = true;
@@ -82,16 +75,7 @@ Status Forecaster::AddMeasurement(double value) {
 }
 
 Status Forecaster::Reestimate() {
-  // Warm start: current parameters, possibly improved by the closest
-  // context-repository case (paper §5 "the model adaption exploits the
-  // context knowledge of previous model estimations").
   std::vector<double> start = model_.params();
-  if (repository_ != nullptr && !repository_->empty()) {
-    Result<std::vector<double>> cached = repository_->FindNearest(
-        MakeSeriesContext(history_.values(), history_.periods_per_day()));
-    if (cached.ok() && cached->size() == start.size()) start = *cached;
-  }
-
   Objective objective = [this](const std::vector<double>& params) {
     Result<double> sse = model_.FitWithParams(history_, params);
     return sse.ok() ? *sse : std::numeric_limits<double>::infinity();
@@ -101,14 +85,7 @@ Status Forecaster::Reestimate() {
                                             config_.adaptation_estimation);
   const std::vector<double>& chosen =
       est.best_params.empty() ? start : est.best_params;
-  MIRABEL_ASSIGN_OR_RETURN(double sse,
-                           model_.FitWithParams(history_, chosen));
-
-  if (repository_ != nullptr) {
-    (void)repository_->Store(
-        MakeSeriesContext(history_.values(), history_.periods_per_day()),
-        chosen, sse);
-  }
+  MIRABEL_RETURN_IF_ERROR(model_.FitWithParams(history_, chosen).status());
   observations_since_estimation_ = 0;
   window_errors_.clear();
   ++reestimation_count_;

@@ -5,7 +5,6 @@
 #include <memory>
 #include <string>
 
-#include "forecasting/context_repository.h"
 #include "forecasting/estimator.h"
 #include "forecasting/hwt_model.h"
 #include "forecasting/time_series.h"
@@ -47,20 +46,17 @@ struct ForecasterConfig {
 ///
 /// Train() estimates HWT parameters from scratch with the configured global
 /// estimator. AddMeasurement() performs the cheap per-value model update and,
-/// according to the evaluation strategy, triggers parameter re-estimation.
-/// Re-estimation is warm-started from the current parameters and — when a
-/// ContextRepository is attached — from the parameters of the most similar
-/// past context (context-aware model adaptation).
+/// according to the evaluation strategy, triggers parameter re-estimation,
+/// warm-started from the current parameters.
 class Forecaster {
  public:
   explicit Forecaster(const ForecasterConfig& config);
 
-  /// Attaches a (shared) context repository; may be nullptr to detach.
-  /// The repository must outlive the forecaster.
-  void AttachContextRepository(ContextRepository* repository);
-
-  /// Estimates parameters on `history` and fits the model.
-  /// InvalidArgument when the history is shorter than two longest cycles.
+  /// Estimates parameters on `history` and fits the model. InvalidArgument
+  /// for an unknown estimator; Internal when no candidate parameter vector
+  /// fits (e.g. the history is shorter than two longest cycles). On failure
+  /// the forecaster is unchanged: a trained one keeps forecasting from, and
+  /// maintaining, the model and history of its last successful Train().
   Status Train(const TimeSeries& history);
 
   /// Appends a measurement: O(1) model update plus, when the evaluation
@@ -82,14 +78,12 @@ class Forecaster {
   const ForecasterConfig& config() const { return config_; }
 
  private:
-  /// Re-estimates parameters warm-started from current params and, when
-  /// available, a context-repository hit.
+  /// Re-estimates parameters warm-started from the current params.
   Status Reestimate();
 
   ForecasterConfig config_;
   HwtModel model_;
   TimeSeries history_;
-  ContextRepository* repository_ = nullptr;
 
   std::deque<double> window_errors_;  // |f - a| / ((|a|+|f|)/2) terms
   int observations_since_estimation_ = 0;

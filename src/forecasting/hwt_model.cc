@@ -5,7 +5,6 @@
 #include <cstring>
 
 #include "common/math_util.h"
-#include "forecasting/residual_sampling.h"
 
 namespace mirabel::forecasting {
 
@@ -171,13 +170,6 @@ Result<double> HwtModel::FitWithParams(const TimeSeries& series,
   fit_residuals_.reserve(residuals_.size());
   fitted_ = true;
   return sse;
-}
-
-Status HwtModel::SampleResiduals(Rng* rng, std::span<double> out) const {
-  if (!fitted_) {
-    return Status::FailedPrecondition("model has not been fitted");
-  }
-  return SampleCenteredResiduals(residuals_, rng, out);
 }
 
 Status HwtModel::Update(double value) {

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "common/result.h"
-#include "common/rng.h"
 #include "forecasting/time_series.h"
 
 namespace mirabel::forecasting {
@@ -101,15 +100,9 @@ class HwtModel {
   /// Post-warmup in-sample one-step errors of the last successful fit, in
   /// series order (the same errors whose squares form the returned SSE).
   /// Empty before the first fit. This is the empirical forecast-error pool
-  /// the uncertainty layer bootstraps scenario perturbations from.
+  /// the uncertainty layer bootstraps scenario perturbations from
+  /// (scheduling::ScenarioEnsemble::FromResidualPool).
   const std::vector<double>& residuals() const { return residuals_; }
-
-  /// Fills `out` with centered bootstrap draws from residuals() using the
-  /// caller's generator (see SampleCenteredResiduals in
-  /// residual_sampling.h). Const: sampling never perturbs the fitted state,
-  /// so concurrent sampling and forecasting from one fitted model is safe.
-  /// FailedPrecondition before the first fit.
-  Status SampleResiduals(Rng* rng, std::span<double> out) const;
 
   const std::vector<double>& params() const { return params_; }
   const std::vector<int>& seasonal_periods() const {

@@ -26,13 +26,4 @@ Result<std::pair<TimeSeries, TimeSeries>> TimeSeries::Split(
   return std::make_pair(std::move(head), std::move(tail));
 }
 
-Result<TimeSeries> TimeSeries::Sum(const TimeSeries& a, const TimeSeries& b) {
-  if (a.size() != b.size() || a.periods_per_day() != b.periods_per_day()) {
-    return Status::InvalidArgument("cannot sum misaligned series");
-  }
-  std::vector<double> out(a.size());
-  for (size_t i = 0; i < a.size(); ++i) out[i] = a.at(i) + b.at(i);
-  return TimeSeries(std::move(out), a.periods_per_day());
-}
-
 }  // namespace mirabel::forecasting

@@ -36,11 +36,6 @@ class TimeSeries {
   /// used for train/holdout evaluation. OutOfRange if head_count > size().
   Result<std::pair<TimeSeries, TimeSeries>> Split(size_t head_count) const;
 
-  /// Element-wise sum of two aligned series (used by hierarchical
-  /// forecasting, where a parent's series is the sum of its children).
-  /// InvalidArgument on length/period mismatch.
-  static Result<TimeSeries> Sum(const TimeSeries& a, const TimeSeries& b);
-
  private:
   std::vector<double> values_;
   int periods_per_day_ = 48;

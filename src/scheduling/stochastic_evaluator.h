@@ -24,8 +24,8 @@ struct BaselinePerturbation {
 /// forecasts are never exact (§5 tracks forecast error explicitly); this is
 /// the uncertainty layer's representation of that error: each scenario is a
 /// full per-slice error curve, drawn from the forecasting layer's fitted
-/// residual pool (HwtModel::residuals() / EgrvModel::residuals()) or built
-/// structurally by the stress-scenario library.
+/// residual pool (HwtModel::residuals()) or built structurally by the
+/// stress-scenario library.
 ///
 /// The scheduling layer cannot depend on forecasting, so the ensemble takes
 /// the residual pool as plain data; the EDMS layer does the gluing.

@@ -5,7 +5,6 @@
 #include "common/math_util.h"
 #include "datagen/energy_series_generator.h"
 #include "datagen/flex_offer_generator.h"
-#include "datagen/weather_generator.h"
 
 namespace mirabel::datagen {
 namespace {
@@ -207,26 +206,6 @@ TEST(WindSeriesTest, WeakerSeasonalityThanDemand) {
     return num / std::sqrt(da * db);
   };
   EXPECT_GT(day_corr(demand), day_corr(wind) + 0.2);
-}
-
-TEST(WeatherTest, DiurnalCycleAfternoonWarmer) {
-  WeatherConfig cfg;
-  cfg.days = 28;
-  cfg.front_noise = 0.0;
-  auto v = GenerateTemperatureSeries(cfg);
-  double afternoon = 0.0;
-  double night = 0.0;
-  for (int d = 0; d < cfg.days; ++d) {
-    afternoon += v[static_cast<size_t>(d * 48 + 30)];  // 15:00
-    night += v[static_cast<size_t>(d * 48 + 6)];       // 03:00
-  }
-  EXPECT_GT(afternoon, night);
-}
-
-TEST(WeatherTest, Deterministic) {
-  WeatherConfig cfg;
-  cfg.days = 7;
-  EXPECT_EQ(GenerateTemperatureSeries(cfg), GenerateTemperatureSeries(cfg));
 }
 
 }  // namespace

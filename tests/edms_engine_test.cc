@@ -9,6 +9,7 @@
 #include <limits>
 #include <map>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -46,6 +47,15 @@ std::vector<FlexOffer> ThreeOffers() {
       testutil::OwnedOffer(3, 503, /*assign_before=*/24, /*earliest=*/32,
                            /*latest=*/48, /*dur=*/4),
   };
+}
+
+/// State of `id` in the engine's lifecycle, looked up by slot as the engine
+/// does; nullopt when the engine never admitted it.
+std::optional<OfferState> LifecycleState(const EdmsEngine& engine,
+                                         flexoffer::FlexOfferId id) {
+  std::optional<OfferSlot> slot = engine.lifecycle().SlotOf(id);
+  if (!slot.has_value()) return std::nullopt;
+  return engine.lifecycle().StateAt(*slot);
 }
 
 /// Flattens an event into a comparable line (kind + ids + payload digest).
@@ -107,7 +117,7 @@ TEST(EdmsEngineTest, RoundTripAssignsValidSchedules) {
   for (const ScheduledFlexOffer& s : schedules) {
     const FlexOffer& fo = offers[static_cast<size_t>(s.offer_id - 1)];
     EXPECT_TRUE(s.ValidateAgainst(fo).ok());
-    EXPECT_EQ(*engine.lifecycle().StateOf(s.offer_id), OfferState::kAssigned);
+    EXPECT_EQ(LifecycleState(engine, s.offer_id), OfferState::kAssigned);
   }
   EXPECT_EQ(engine.stats().offers_accepted, 3);
   EXPECT_EQ(engine.stats().micro_schedules_sent, 3);
@@ -115,7 +125,7 @@ TEST(EdmsEngineTest, RoundTripAssignsValidSchedules) {
 
   // Execution closes the lifecycle and emits OfferExecuted.
   ASSERT_TRUE(engine.RecordExecution(1, 40, 6.0).ok());
-  EXPECT_EQ(*engine.lifecycle().StateOf(1), OfferState::kExecuted);
+  EXPECT_EQ(LifecycleState(engine, 1), OfferState::kExecuted);
   std::vector<Event> events = engine.PollEvents();
   ASSERT_EQ(events.size(), 1u);
   EXPECT_EQ(EventName(events[0]), "OfferExecuted");
@@ -161,8 +171,8 @@ TEST(EdmsEngineTest, InvalidAndLowValueOffersAreRejected) {
   ASSERT_TRUE(submitted.ok()) << submitted.status();
   EXPECT_EQ(*submitted, 0u);
   EXPECT_EQ(engine.stats().offers_rejected, 2);
-  EXPECT_EQ(*engine.lifecycle().StateOf(10), OfferState::kRejected);
-  EXPECT_EQ(*engine.lifecycle().StateOf(11), OfferState::kRejected);
+  EXPECT_EQ(LifecycleState(engine, 10), OfferState::kRejected);
+  EXPECT_EQ(LifecycleState(engine, 11), OfferState::kRejected);
   std::vector<Event> events = engine.PollEvents();
   ASSERT_EQ(events.size(), 2u);
   EXPECT_EQ(EventName(events[0]), "OfferRejected");
@@ -187,7 +197,7 @@ TEST(EdmsEngineTest, StaleOffersExpireAtTheGate) {
   std::vector<Event> events = engine.PollEvents();
   ASSERT_EQ(events.size(), 1u);
   EXPECT_EQ(EventName(events[0]), "OfferExpired");
-  EXPECT_EQ(*engine.lifecycle().StateOf(5), OfferState::kExpired);
+  EXPECT_EQ(LifecycleState(engine, 5), OfferState::kExpired);
   EXPECT_EQ(engine.stats().offers_expired_in_pipeline, 1);
   EXPECT_EQ(engine.stats().macros_scheduled, 0);
 }
@@ -215,7 +225,7 @@ TEST(EdmsEngineTest, UnboundedSchedulerBudgetFailsTheGateAndExpiresOffers) {
   ASSERT_EQ(expired.size(), offers.size());
   for (const FlexOffer& fo : offers) {
     EXPECT_EQ(expired[fo.id], 1) << "offer " << fo.id;
-    EXPECT_EQ(*engine.lifecycle().StateOf(fo.id), OfferState::kExpired);
+    EXPECT_EQ(LifecycleState(engine, fo.id), OfferState::kExpired);
   }
   EXPECT_EQ(engine.stats().scheduling_runs, 0);
   EXPECT_EQ(engine.stats().offers_expired_in_pipeline, 3);
@@ -246,7 +256,7 @@ TEST(EdmsEngineTest, NonFiniteBaselineFailsTheGateAndExpiresOffers) {
   ASSERT_EQ(expired.size(), offers.size());
   for (const FlexOffer& fo : offers) {
     EXPECT_EQ(expired[fo.id], 1) << "offer " << fo.id;
-    EXPECT_EQ(*engine.lifecycle().StateOf(fo.id), OfferState::kExpired);
+    EXPECT_EQ(LifecycleState(engine, fo.id), OfferState::kExpired);
   }
   EXPECT_EQ(engine.stats().scheduling_runs, 0);
   EXPECT_EQ(engine.stats().offers_expired_in_pipeline, 3);
@@ -291,7 +301,7 @@ TEST(EdmsEngineTest, ForwardingModePublishesAndCompletesMacros) {
     ASSERT_TRUE(engine.CompleteMacroSchedule(s, 1).ok());
     for (const Event& event : engine.PollEvents()) {
       if (const auto* e = std::get_if<ScheduleAssigned>(&event)) {
-        EXPECT_EQ(*engine.lifecycle().StateOf(e->schedule.offer_id),
+        EXPECT_EQ(LifecycleState(engine, e->schedule.offer_id),
                   OfferState::kAssigned);
         ++assigned;
       }
@@ -366,7 +376,7 @@ TEST(EdmsEngineTest, UnmeteredSchedulesTimeOutOnceInSubmissionOrder) {
   EXPECT_EQ(engine.stats().executions_timed_out,
             static_cast<int64_t>(expired.size()));
   for (const FlexOffer& fo : offers) {
-    EXPECT_EQ(*engine.lifecycle().StateOf(fo.id), OfferState::kExpired);
+    EXPECT_EQ(LifecycleState(engine, fo.id), OfferState::kExpired);
   }
 
   for (flexoffer::TimeSlice now = 80; now <= 96; now += 8) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <vector>
+
 #include "common/math_util.h"
 #include "datagen/energy_series_generator.h"
 
@@ -101,22 +104,27 @@ TEST(ForecasterTest, ThresholdStrategyTriggersOnRegimeChange) {
   EXPECT_GE(forecaster.reestimation_count(), 1);
 }
 
-TEST(ForecasterTest, ContextRepositoryCollectsCases) {
-  ContextRepository repository;
+TEST(ForecasterTest, FailedRetrainLeavesTheTrainedForecasterIntact) {
   ForecasterConfig cfg = FastConfig();
   cfg.evaluation = EvaluationStrategy::kTimeBased;
-  cfg.reestimation_interval = 40;
+  cfg.reestimation_interval = 1;
   Forecaster forecaster(cfg);
-  forecaster.AttachContextRepository(&repository);
   ASSERT_TRUE(forecaster.Train(DemandSeries(22)).ok());
-  EXPECT_EQ(repository.size(), 1u);  // the initial estimation stored a case
-  datagen::DemandSeriesConfig more;
-  more.days = 2;
-  more.seed = 3;
-  for (double v : datagen::GenerateDemandSeries(more)) {
-    ASSERT_TRUE(forecaster.AddMeasurement(v).ok());
-  }
-  EXPECT_GT(repository.size(), 1u);  // re-estimations stored more cases
+  Result<std::vector<double>> before = forecaster.Forecast(48);
+  ASSERT_TRUE(before.ok());
+
+  // Shorter than two weekly cycles: no candidate fits, so Train fails.
+  TimeSeries too_short(std::vector<double>(100, 100.0), 48);
+  EXPECT_FALSE(forecaster.Train(too_short).ok());
+  Result<std::vector<double>> after = forecaster.Forecast(48);
+  ASSERT_TRUE(after.ok());
+  ASSERT_EQ(after->size(), before->size());
+  const size_t bytes = before->size() * sizeof(double);
+  EXPECT_EQ(std::memcmp(after->data(), before->data(), bytes), 0);
+
+  // The next measurement re-estimates on the kept 22-day history.
+  EXPECT_TRUE(forecaster.AddMeasurement(100.0).ok());
+  EXPECT_EQ(forecaster.reestimation_count(), 1);
 }
 
 }  // namespace

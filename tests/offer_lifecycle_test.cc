@@ -1,7 +1,7 @@
 // Full transition-table coverage of the flex-offer lifecycle state machine:
 // every legal edge succeeds, every illegal edge is FailedPrecondition, and
-// the tracked counts stay consistent — through the id entry points and
-// through the slot entry points the engine uses.
+// the tracked counts stay consistent — through the slot entry points the
+// engine uses.
 #include "edms/offer_lifecycle.h"
 
 #include <gtest/gtest.h>
@@ -38,7 +38,8 @@ const std::set<std::pair<OfferState, OfferState>> kLegalEdges = {
 
 /// Drives a fresh lifecycle instance into `state` via the happy path.
 void DriveTo(OfferLifecycle& lc, flexoffer::FlexOfferId id, OfferState state) {
-  ASSERT_TRUE(lc.Begin(id).ok());
+  Result<OfferSlot> slot = lc.Begin(id);
+  ASSERT_TRUE(slot.ok());
   std::vector<OfferState> path;
   switch (state) {
     case OfferState::kOffered:
@@ -70,17 +71,16 @@ void DriveTo(OfferLifecycle& lc, flexoffer::FlexOfferId id, OfferState state) {
       break;
   }
   for (OfferState next : path) {
-    ASSERT_TRUE(lc.Transition(id, next).ok())
+    ASSERT_TRUE(lc.TransitionAt(*slot, next).ok())
         << "driving to " << ToString(state) << " via " << ToString(next);
   }
-  ASSERT_EQ(*lc.StateOf(id), state);
+  ASSERT_EQ(lc.StateAt(*slot), state);
 }
 
-/// Runs the whole from x to table against a fresh lifecycle per edge, moving
-/// by id (Transition, which also returns the previous state) or by slot
-/// (TransitionAt). The offer under test sits at slot 1, behind a bystander
-/// at slot 0 that must never move.
-void CheckTransitionTable(bool by_slot) {
+/// Runs the whole from x to table against a fresh lifecycle per edge. The
+/// offer under test sits at slot 1, behind a bystander at slot 0 that must
+/// never move.
+TEST(OfferLifecycleTest, FullTransitionTableBySlot) {
   for (OfferState from : kAllStates) {
     for (OfferState to : kAllStates) {
       bool legal = kLegalEdges.count({from, to}) != 0;
@@ -94,27 +94,16 @@ void CheckTransitionTable(bool by_slot) {
       std::optional<OfferSlot> slot = lc.SlotOf(7);
       ASSERT_TRUE(slot.has_value());
       ASSERT_EQ(*slot, 1u);
-      Status st;
-      if (by_slot) {
-        st = lc.TransitionAt(*slot, to);
-      } else {
-        Result<OfferState> r = lc.Transition(7, to);
-        st = r.status();
-        if (r.ok()) {
-          EXPECT_EQ(*r, from) << ToString(from) << " -> " << ToString(to);
-        }
-      }
+      Status st = lc.TransitionAt(*slot, to);
       if (legal) {
         ASSERT_TRUE(st.ok()) << ToString(from) << " -> " << ToString(to);
         EXPECT_EQ(lc.StateAt(*slot), to);
-        EXPECT_EQ(*lc.StateOf(7), to);
       } else {
         ASSERT_FALSE(st.ok()) << ToString(from) << " -> " << ToString(to);
         EXPECT_EQ(st.code(), StatusCode::kFailedPrecondition);
         EXPECT_EQ(lc.StateAt(*slot), from);  // state untouched
-        EXPECT_EQ(*lc.StateOf(7), from);
       }
-      EXPECT_EQ(*lc.StateOf(50), OfferState::kAccepted);
+      EXPECT_EQ(lc.StateAt(0), OfferState::kAccepted);
       for (OfferState s : kAllStates) {
         size_t expected = (s == lc.StateAt(*slot) ? 1u : 0u) +
                           (s == OfferState::kAccepted ? 1u : 0u);
@@ -122,14 +111,6 @@ void CheckTransitionTable(bool by_slot) {
       }
     }
   }
-}
-
-TEST(OfferLifecycleTest, FullTransitionTableById) {
-  CheckTransitionTable(/*by_slot=*/false);
-}
-
-TEST(OfferLifecycleTest, FullTransitionTableBySlot) {
-  CheckTransitionTable(/*by_slot=*/true);
 }
 
 TEST(OfferLifecycleTest, SlotsAreDenseAndCarryTheBoundRow) {
@@ -179,9 +160,11 @@ TEST(OfferLifecycleTest, BeginRejectsDuplicates) {
 
 TEST(OfferLifecycleTest, UnknownOffersAreNotFound) {
   OfferLifecycle lc;
-  EXPECT_EQ(lc.StateOf(99).status().code(), StatusCode::kNotFound);
-  EXPECT_EQ(lc.Transition(99, OfferState::kAccepted).status().code(),
-            StatusCode::kNotFound);
+  EXPECT_FALSE(lc.SlotOf(99).has_value());
+  ASSERT_TRUE(lc.Begin(98).ok());
+  ASSERT_TRUE(lc.Begin(100).ok());
+  EXPECT_FALSE(lc.SlotOf(99).has_value());
+  EXPECT_EQ(lc.size(), 2u);
 }
 
 TEST(OfferLifecycleTest, CountsTrackTransitions) {
@@ -190,15 +173,15 @@ TEST(OfferLifecycleTest, CountsTrackTransitions) {
   ASSERT_TRUE(lc.Begin(2).ok());
   ASSERT_TRUE(lc.Begin(3).ok());
   EXPECT_EQ(lc.CountInState(OfferState::kOffered), 3u);
-  ASSERT_TRUE(lc.Transition(1, OfferState::kAccepted).ok());
-  ASSERT_TRUE(lc.Transition(2, OfferState::kRejected).ok());
+  ASSERT_TRUE(lc.TransitionAt(*lc.SlotOf(1), OfferState::kAccepted).ok());
+  ASSERT_TRUE(lc.TransitionAt(*lc.SlotOf(2), OfferState::kRejected).ok());
   EXPECT_EQ(lc.CountInState(OfferState::kOffered), 1u);
   EXPECT_EQ(lc.CountInState(OfferState::kAccepted), 1u);
   EXPECT_EQ(lc.CountInState(OfferState::kRejected), 1u);
   EXPECT_EQ(lc.size(), 3u);
 
   // A failed transition must not disturb the counts.
-  ASSERT_FALSE(lc.Transition(2, OfferState::kAccepted).ok());
+  ASSERT_FALSE(lc.TransitionAt(*lc.SlotOf(2), OfferState::kAccepted).ok());
   EXPECT_EQ(lc.CountInState(OfferState::kRejected), 1u);
   EXPECT_EQ(lc.CountInState(OfferState::kAccepted), 1u);
 }

@@ -47,22 +47,5 @@ TEST(TimeSeriesTest, SplitPartitions) {
   EXPECT_FALSE(ts.Split(5).ok());
 }
 
-TEST(TimeSeriesTest, SumAlignedSeries) {
-  TimeSeries a({1.0, 2.0}, 48);
-  TimeSeries b({10.0, 20.0}, 48);
-  auto sum = TimeSeries::Sum(a, b);
-  ASSERT_TRUE(sum.ok());
-  EXPECT_DOUBLE_EQ(sum->at(0), 11.0);
-  EXPECT_DOUBLE_EQ(sum->at(1), 22.0);
-}
-
-TEST(TimeSeriesTest, SumRejectsMisaligned) {
-  TimeSeries a({1.0, 2.0}, 48);
-  TimeSeries b({1.0}, 48);
-  TimeSeries c({1.0, 2.0}, 24);
-  EXPECT_FALSE(TimeSeries::Sum(a, b).ok());
-  EXPECT_FALSE(TimeSeries::Sum(a, c).ok());
-}
-
 }  // namespace
 }  // namespace mirabel::forecasting
