@@ -1,29 +1,30 @@
 // Runtime trajectories of the ShardedEdmsRuntime, emitting
 // BENCH_edms_runtime.json next to the single-engine BENCH_edms_engine.json:
 //
-//  1. Shard scaling (results "shards/N"): the edms_engine bench workload
-//     (batch intake + tick-driven gate closures) swept over shards in
-//     {1, 2, 4, 8}, fork-join intake. Every shard count runs the identical
+//  1. Shard scaling (results "shards/N"): one up-front batch intake, then
+//     tick-driven gate closures, swept over shards in {1, 2, 4, 8} (1 shard
+//     is the inline runtime; more shards enqueue the batch and
+//     FlushIntake() admits it). Every shard count runs the identical
 //     workload and engine template with a fixed, iteration-capped per-gate
 //     scheduling budget that the runtime divides across shards, so the
 //     total scheduling effort per gate is held constant and the comparison
 //     is quality-normalized — the imbalance-reduction metric stays flat
 //     across the sweep while throughput rises.
 //
-//  2. Streaming intake (results "streaming/{forkjoin,pooled}"): the same
-//     tick-paced workload at 4 shards, submitted batch-by-batch. The
-//     fork-join baseline blocks on every SubmitOffers before advancing the
-//     gate; the pooled configuration streams the batches from a producer
-//     thread into the MPSC intake queues while the gates run, so intake
-//     overlaps scheduling.
+//  2. Streaming intake (results "streaming/{aligned,pooled}"): the same
+//     tick-paced workload at 4 shards, submitted batch-by-batch. In the
+//     aligned configuration the control thread submits each tick's batch
+//     right before that tick's gate; the pooled configuration streams the
+//     batches from a producer thread into the MPSC intake queues while the
+//     gates run, so intake overlaps scheduling.
 //
-//  3. Skewed load (results "skewed/{forkjoin,pooled}"): the tick-paced
+//  3. Skewed load (results "skewed/{aligned,pooled}"): the tick-paced
 //     workload with every owner routed to shard 0 of 4. The pooled
 //     configuration keeps intake streaming against shard 0's long gates and
 //     lets idle workers steal the loaded strand (steals are reported).
 //
 //  4. Offer→decision latency (results "latency/{sustained,bursty}"): the
-//     tick workload at 4 shards with streaming intake, producer-paced.
+//     tick workload at 4 shards, streamed by a paced producer thread.
 //     Every offer is stamped (steady_clock) right before SubmitOffers();
 //     the consumer stamps again when the offer's OfferAccepted /
 //     ScheduleAssigned event surfaces from PollEvents() and reports the
@@ -35,7 +36,7 @@
 //
 // The streaming/skewed overlap wins require >= 2 hardware threads (the
 // config block records hardware_concurrency); on a single-core machine the
-// pooled and fork-join configurations converge. See docs/benchmarks.md.
+// pooled and aligned configurations converge. See docs/benchmarks.md.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -137,10 +138,14 @@ RunResult RunBatchWorkload(size_t num_shards, int64_t count, int iterations,
   RunResult r;
   r.offers = count;
 
+  // The flush makes intake_s the time to admit the batch at every shard
+  // count (a pooled runtime's SubmitOffers only enqueues).
   Stopwatch intake_watch;
-  auto accepted = runtime.SubmitOffers(offers, 0);
-  if (!accepted.ok()) {
-    std::cerr << "intake failed: " << accepted.status() << "\n";
+  auto enqueued = runtime.SubmitOffers(offers, 0);
+  Status flushed = runtime.FlushIntake();
+  if (!enqueued.ok() || !flushed.ok()) {
+    std::cerr << "intake failed: "
+              << (enqueued.ok() ? flushed : enqueued.status()) << "\n";
     std::exit(1);
   }
   r.intake_s = intake_watch.ElapsedSeconds();
@@ -162,15 +167,15 @@ RunResult RunBatchWorkload(size_t num_shards, int64_t count, int iterations,
 }
 
 /// Streaming/skew legs: the workload arrives as one batch per tick. The
-/// fork-join baseline submits batch k (blocking) right before gate k; the
-/// pooled configuration streams the same batches from a producer thread
-/// while the gate loop runs, overlapping intake with scheduling.
+/// aligned configuration submits batch k from the control thread right
+/// before gate k; the pooled configuration streams the same batches from a
+/// producer thread while the gate loop runs, overlapping intake with
+/// scheduling.
 RunResult RunTickWorkload(size_t num_shards, int64_t count, int iterations,
                           int days, bool streaming, bool skewed) {
   std::vector<flexoffer::FlexOffer> offers = MakeWorkload(count, days);
   edms::ShardedEdmsRuntime::Config config =
       RuntimeConfig(num_shards, iterations, days);
-  config.streaming_intake = streaming;
   if (skewed) {
     config.router = [](flexoffer::ActorId, size_t) -> size_t { return 0; };
   }
@@ -260,7 +265,7 @@ struct LatencyResult {
   int64_t peak_intake_depth = 0;
 };
 
-/// Latency leg: 4 shards, streaming intake, producer-paced batches. The
+/// Latency leg: 4 shards, producer-paced batches streamed in. The
 /// producer stamps each offer right before SubmitOffers(); the consumer
 /// stamps when the acceptance / schedule event surfaces from PollEvents().
 /// The stamp is a plain write: it happens-before the consumer's read via
@@ -268,10 +273,7 @@ struct LatencyResult {
 LatencyResult RunLatencyWorkload(int64_t count, int iterations, int days,
                                  bool bursty) {
   std::vector<flexoffer::FlexOffer> offers = MakeWorkload(count, days);
-  edms::ShardedEdmsRuntime::Config config =
-      RuntimeConfig(4, iterations, days);
-  config.streaming_intake = true;
-  edms::ShardedEdmsRuntime runtime(config);
+  edms::ShardedEdmsRuntime runtime(RuntimeConfig(4, iterations, days));
 
   std::unordered_map<flexoffer::FlexOfferId, size_t> index_of;
   index_of.reserve(offers.size());
@@ -450,7 +452,7 @@ int main() {
                    static_cast<int64_t>(std::thread::hardware_concurrency()));
   report.AddConfig("small_mode", small);
 
-  // Leg 1: shard scaling, fork-join intake.
+  // Leg 1: shard scaling, one up-front batch.
   double base_throughput = 0.0;
   for (size_t shards : shard_counts) {
     RunResult r = RunBatchWorkload(shards, count, iterations, days);
@@ -460,13 +462,13 @@ int main() {
     Report(report, "shards/" + std::to_string(shards), r, base_throughput);
   }
 
-  // Leg 2: streaming intake vs fork-join, 4 shards, tick-paced batches.
+  // Leg 2: streamed vs tick-aligned intake, 4 shards, tick-paced batches.
   RunResult stream_base = RunTickWorkload(4, count, iterations, days,
                                           /*streaming=*/false,
                                           /*skewed=*/false);
   double stream_base_tp = static_cast<double>(stream_base.offers) /
                           std::max(1e-9, stream_base.total_s);
-  Report(report, "streaming/forkjoin", stream_base, stream_base_tp);
+  Report(report, "streaming/aligned", stream_base, stream_base_tp);
   RunResult stream_pool = RunTickWorkload(4, count, iterations, days,
                                           /*streaming=*/true,
                                           /*skewed=*/false);
@@ -478,7 +480,7 @@ int main() {
                                         /*skewed=*/true);
   double skew_base_tp = static_cast<double>(skew_base.offers) /
                         std::max(1e-9, skew_base.total_s);
-  Report(report, "skewed/forkjoin", skew_base, skew_base_tp);
+  Report(report, "skewed/aligned", skew_base, skew_base_tp);
   RunResult skew_pool = RunTickWorkload(4, count, iterations, days,
                                         /*streaming=*/true,
                                         /*skewed=*/true);

@@ -106,16 +106,21 @@ int main(int argc, char** argv) {
   workload.horizon_days = 1;
   std::vector<FlexOffer> offers = datagen::GenerateFlexOffers(workload);
 
+  // With more than one shard SubmitOffers only enqueues the batch: flush
+  // the intake before reading the negotiation outcome off the stats.
   Stopwatch intake_watch;
-  auto accepted = engine.SubmitOffers(offers, 0);
-  if (!accepted.ok()) {
-    std::cerr << "intake failed: " << accepted.status() << "\n";
+  auto submitted = engine.SubmitOffers(offers, 0);
+  Status flushed = submitted.ok() ? engine.FlushIntake() : submitted.status();
+  if (!flushed.ok()) {
+    std::cerr << "intake failed: " << flushed << "\n";
     return 1;
   }
-  std::printf("negotiation: %zu accepted, %lld rejected, %.0f EUR "
+  const edms::EngineStats intake = engine.stats();
+  std::printf("negotiation: %lld accepted, %lld rejected, %.0f EUR "
               "flexibility payments (%.2fs)\n",
-              *accepted, static_cast<long long>(engine.stats().offers_rejected),
-              engine.stats().payments_eur, intake_watch.ElapsedSeconds());
+              static_cast<long long>(intake.offers_accepted),
+              static_cast<long long>(intake.offers_rejected),
+              intake.payments_eur, intake_watch.ElapsedSeconds());
 
   // --- The control loop: gates fire across the trading day -----------------
   Stopwatch loop_watch;

@@ -56,37 +56,6 @@ Result<double> Smape(const std::vector<double>& actual,
   return acc / static_cast<double>(actual.size());
 }
 
-Result<double> Mape(const std::vector<double>& actual,
-                    const std::vector<double>& forecast) {
-  MIRABEL_RETURN_IF_ERROR(CheckSameNonEmpty(actual, forecast));
-  double acc = 0.0;
-  size_t n = 0;
-  for (size_t i = 0; i < actual.size(); ++i) {
-    if (std::fabs(actual[i]) < 1e-12) continue;
-    acc += std::fabs((forecast[i] - actual[i]) / actual[i]);
-    ++n;
-  }
-  if (n == 0) return Status::InvalidArgument("all actual values are zero");
-  return acc / static_cast<double>(n);
-}
-
-Result<double> Rmse(const std::vector<double>& actual,
-                    const std::vector<double>& forecast) {
-  MIRABEL_ASSIGN_OR_RETURN(double sse, SumSquaredError(actual, forecast));
-  return std::sqrt(sse / static_cast<double>(actual.size()));
-}
-
-Result<double> SumSquaredError(const std::vector<double>& actual,
-                               const std::vector<double>& forecast) {
-  MIRABEL_RETURN_IF_ERROR(CheckSameNonEmpty(actual, forecast));
-  double acc = 0.0;
-  for (size_t i = 0; i < actual.size(); ++i) {
-    double d = forecast[i] - actual[i];
-    acc += d * d;
-  }
-  return acc;
-}
-
 Result<LinearFit> FitLine(const std::vector<double>& x,
                           const std::vector<double>& y) {
   MIRABEL_RETURN_IF_ERROR(CheckSameNonEmpty(x, y));

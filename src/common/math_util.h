@@ -31,18 +31,6 @@ double StdDev(const std::vector<double>& v);
 Result<double> Smape(const std::vector<double>& actual,
                      const std::vector<double>& forecast);
 
-/// Mean Absolute Percentage Error; skips terms with |actual| < 1e-12.
-Result<double> Mape(const std::vector<double>& actual,
-                    const std::vector<double>& forecast);
-
-/// Root Mean Squared Error.
-Result<double> Rmse(const std::vector<double>& actual,
-                    const std::vector<double>& forecast);
-
-/// Sum of squared errors between two equally sized vectors.
-Result<double> SumSquaredError(const std::vector<double>& actual,
-                               const std::vector<double>& forecast);
-
 /// Ordinary least squares fit of y = slope * x + intercept.
 /// Used e.g. to reproduce the "y = 0.36*x - 0.68" line of Fig. 5(d).
 struct LinearFit {

@@ -81,12 +81,6 @@ double Rng::Gaussian(double mean, double stddev) {
 
 bool Rng::Bernoulli(double p) { return NextDouble() < p; }
 
-double Rng::Exponential(double lambda) {
-  assert(lambda > 0);
-  double u = 1.0 - NextDouble();  // in (0, 1]
-  return -std::log(u) / lambda;
-}
-
 size_t Rng::Index(size_t n) {
   assert(n > 0);
   return static_cast<size_t>(UniformInt(0, static_cast<int64_t>(n) - 1));

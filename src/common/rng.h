@@ -42,9 +42,6 @@ class Rng {
   /// Bernoulli trial with probability `p` of returning true.
   bool Bernoulli(double p);
 
-  /// Exponentially distributed value with rate `lambda` (> 0).
-  double Exponential(double lambda);
-
   /// In-place Fisher-Yates shuffle.
   template <typename T>
   void Shuffle(std::vector<T>* v) {

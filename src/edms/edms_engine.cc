@@ -7,9 +7,7 @@
 
 #include "common/logging.h"
 #include "scheduling/compiled_problem.h"
-#include "scheduling/robust_scheduler.h"
 #include "scheduling/scheduling_problem.h"
-#include "scheduling/stochastic_evaluator.h"
 
 namespace mirabel::edms {
 
@@ -19,24 +17,31 @@ using flexoffer::FlexOfferId;
 using flexoffer::ScheduledFlexOffer;
 using flexoffer::TimeSlice;
 
+namespace {
+
+/// Problem size (offers x horizon slices) that earns a gate the full
+/// scheduler budget (see Config::scheduler_budget_s).
+constexpr double kBudgetReferenceWork = 32.0 * 96.0;
+
+}  // namespace
+
 EngineStats& EngineStats::Merge(const EngineStats& other) {
   // Destructuring both sides pins the member count at compile time: adding a
   // field to EngineStats without extending these bindings fails to build.
   // The size guard additionally catches same-count layout changes.
-  static_assert(sizeof(EngineStats) == 29 * sizeof(int64_t),
+  static_assert(sizeof(EngineStats) == 25 * sizeof(int64_t),
                 "EngineStats layout changed: update Merge()");
   auto& [received, batches, accepted, rejected, runs, macros, micros, expired,
          executed, payments, imb_before, imb_after, cost, budget_saved,
          intake_errs, metering_fails, shed, dropped, macros_expired,
-         exec_timeouts, violations, wins_greedy, wins_ea, wins_bnb, proven,
-         rob_runs, rob_evals, rob_expected, rob_cvar] = *this;
+         exec_timeouts, violations, wins_greedy, wins_ea, wins_bnb, proven] =
+      *this;
   const auto& [o_received, o_batches, o_accepted, o_rejected, o_runs, o_macros,
                o_micros, o_expired, o_executed, o_payments, o_imb_before,
                o_imb_after, o_cost, o_budget_saved, o_intake_errs,
                o_metering_fails, o_shed, o_dropped, o_macros_expired,
                o_exec_timeouts, o_violations, o_wins_greedy, o_wins_ea,
-               o_wins_bnb, o_proven, o_rob_runs, o_rob_evals, o_rob_expected,
-               o_rob_cvar] = other;
+               o_wins_bnb, o_proven] = other;
   received += o_received;
   batches += o_batches;
   accepted += o_accepted;
@@ -62,10 +67,6 @@ EngineStats& EngineStats::Merge(const EngineStats& other) {
   wins_ea += o_wins_ea;
   wins_bnb += o_wins_bnb;
   proven += o_proven;
-  rob_runs += o_rob_runs;
-  rob_evals += o_rob_evals;
-  rob_expected += o_rob_expected;
-  rob_cvar += o_rob_cvar;
   return *this;
 }
 
@@ -278,14 +279,13 @@ Status EdmsEngine::RunGate(TimeSlice now) {
     // Publish macro offers for higher-level aggregation and scheduling.
     for (const auto& agg : ready) {
       FlexOffer macro = agg.macro;
-      // The intra-actor index must stay below the per-actor stride, or the
-      // wire id would alias the next actor's range at the parent level.
-      // Laned ids divide the headroom by the lane count, so guard it: a
-      // shard burning through 1e6 / lanes aggregate ids is a deployment
-      // that needs a wider id scheme, not silent mis-routing.
-      uint64_t intra_actor =
-          agg.macro.id * config_.macro_id_lanes + config_.macro_id_lane;
-      if (intra_actor >= 1000000ULL) {
+      // Laned ids divide the per-actor headroom by the lane count: a shard
+      // burning through kMacroIdStride / lanes aggregate ids is a
+      // deployment that needs a wider id scheme, not silent mis-routing.
+      std::optional<FlexOfferId> wire_id =
+          MacroWireId(config_.actor, agg.macro.id, config_.macro_id_lane,
+                      config_.macro_id_lanes);
+      if (!wire_id.has_value()) {
         MIRABEL_LOG(kError) << "macro id space exhausted (aggregate "
                             << agg.macro.id << " x " << config_.macro_id_lanes
                             << " lanes); expiring its members";
@@ -294,7 +294,7 @@ Status EdmsEngine::RunGate(TimeSlice now) {
         }
         continue;
       }
-      macro.id = config_.actor * 1000000ULL + intra_actor;
+      macro.id = *wire_id;
       macro.owner = config_.actor;
       // The snapshot must carry the wire id so the returning schedule
       // validates against it at disaggregation time.
@@ -357,41 +357,17 @@ Status EdmsEngine::ScheduleClaimed(
   if (scheduler == nullptr) {
     return Status::Internal("scheduler factory returned nullptr");
   }
-  // Uncertainty-aware gate: bootstrap a forecast-error ensemble from the
-  // fitted residual pool (seeded per gate, so reruns of the same engine
-  // timeline reproduce bit-identically) and wrap the configured scheduler
-  // in a robust re-ranking pass.
-  if (config_.ensemble_scenarios > 0 && config_.forecast_residuals != nullptr &&
-      !config_.forecast_residuals->empty()) {
-    MIRABEL_ASSIGN_OR_RETURN(
-        scheduling::ScenarioEnsemble ensemble,
-        scheduling::ScenarioEnsemble::FromResidualPool(
-            *config_.forecast_residuals, config_.horizon,
-            config_.ensemble_scenarios,
-            config_.seed + static_cast<uint64_t>(now)));
-    scheduling::RobustScheduler::Config robust_config;
-    robust_config.inner_factory = config_.scheduler_factory;
-    robust_config.ensemble = std::move(ensemble);
-    robust_config.cvar_alpha = config_.ensemble_cvar_alpha;
-    robust_config.risk_weight = config_.ensemble_risk_weight;
-    robust_config.executor = config_.ensemble_executor;
-    scheduler = std::make_unique<scheduling::RobustScheduler>(
-        std::move(robust_config));
-  }
-  // One compile serves the whole gate: the scheduler run (all its restarts,
-  // every portfolio member and robust candidate), the imbalance accounting
-  // and the macro-schedule export below. Validate() here is the check
+  // One compile serves the whole gate: the scheduler run (all its restarts
+  // and every portfolio member), the imbalance accounting and the
+  // macro-schedule export below. Validate() here is the check
   // Scheduler::Run() would apply.
   MIRABEL_RETURN_IF_ERROR(problem.Validate());
   scheduling::CompiledProblem compiled(problem);
   scheduling::SchedulerOptions options;
-  options.time_budget_s = config_.scheduler_budget_s;
-  if (config_.scale_budget_with_problem_size) {
-    options.time_budget_s = ScaledTimeBudget(
-        config_.scheduler_budget_s, problem.offers.size(), config_.horizon,
-        config_.budget_reference_work, /*min_fraction=*/0.02);
-    stats_.budget_saved_s += config_.scheduler_budget_s - options.time_budget_s;
-  }
+  options.time_budget_s = ScaledTimeBudget(
+      config_.scheduler_budget_s, problem.offers.size(), config_.horizon,
+      kBudgetReferenceWork, /*min_fraction=*/0.02);
+  stats_.budget_saved_s += config_.scheduler_budget_s - options.time_budget_s;
   options.max_iterations = config_.scheduler_max_iterations;
   options.seed = config_.seed + static_cast<uint64_t>(now);
   MIRABEL_ASSIGN_OR_RETURN(scheduling::SchedulingResult run,
@@ -399,13 +375,6 @@ Status EdmsEngine::ScheduleClaimed(
   ++stats_.scheduling_runs;
   stats_.schedule_cost_eur += run.cost.total();
   if (run.optimal_proven) ++stats_.bnb_optimal_proven;
-  if (run.robust.has_value()) {
-    ++stats_.robust_runs;
-    stats_.robust_scenario_evaluations +=
-        static_cast<int64_t>(run.robust->candidates) * run.robust->scenarios;
-    stats_.robust_expected_cost_eur += run.robust->expected_cost_eur;
-    stats_.robust_cvar_eur += run.robust->cvar_eur;
-  }
   for (const scheduling::PortfolioMemberStats& member : run.portfolio) {
     if (!member.won) continue;
     if (member.name == "GreedySearch") ++stats_.portfolio_wins_greedy;

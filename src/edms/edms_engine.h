@@ -14,7 +14,6 @@
 #include "edms/offer_lifecycle.h"
 #include "edms/scheduler_registry.h"
 #include "negotiation/negotiator.h"
-#include "scheduling/executor.h"
 #include "storage/data_store.h"
 
 namespace mirabel::edms {
@@ -48,18 +47,19 @@ struct EngineStats {
   double schedule_cost_eur = 0.0;
   /// Wall-clock budget returned by per-problem-size budget scaling: the sum
   /// over scheduling runs of (configured per-gate budget - scaled budget).
-  /// See Config::scale_budget_with_problem_size.
+  /// See Config::scheduler_budget_s.
   double budget_saved_s = 0.0;
-  /// Deferred streaming-intake errors (ShardedEdmsRuntime drains): every
-  /// non-duplicate failure is counted here even though Advance()/
-  /// FlushIntake() return only the first one.
+  /// Deferred intake errors (pooled ShardedEdmsRuntime drains): every
+  /// non-duplicate failure is counted here even though the barriers
+  /// (Advance()/ExpireDeadlines()/FlushIntake()) return only the first one.
   int64_t intake_errors = 0;
   /// RecordMeterReadings() execution failures that were tolerated (e.g.
   /// re-metered offers on duplicate-heavy bus traffic).
   int64_t metering_failures = 0;
-  /// Offers shed by a bounded streaming intake under OverloadPolicy::kShed;
-  /// they never reached an engine (so they are NOT in offers_received /
-  /// offers_rejected) and surface as OfferRejected{kOverloaded} events.
+  /// Offers shed by a bounded pooled intake (ShardedEdmsRuntime::Config::
+  /// max_pending_batches_per_shard); they never reached an engine (so they
+  /// are NOT in offers_received / offers_rejected) and surface as
+  /// OfferRejected{kOverloaded} events.
   int64_t offers_shed = 0;
   /// Offers still sitting in shard intake queues when the runtime was
   /// destroyed (reported through Config::final_stats only).
@@ -88,18 +88,6 @@ struct EngineStats {
   /// search space (BranchAndBound directly, or a portfolio whose winner
   /// proved it; a completed Exhaustive sweep counts too).
   int64_t bnb_optimal_proven = 0;
-  /// Scheduling runs that went through the robust (ensemble re-ranking)
-  /// path — the configured scheduler was wrapped per Config::
-  /// ensemble_scenarios, and the ensemble was non-degenerate.
-  int64_t robust_runs = 0;
-  /// Candidate-schedule x scenario evaluations those runs performed (the
-  /// uncertainty layer's work counter, as nodes_visited is BnB's).
-  int64_t robust_scenario_evaluations = 0;
-  /// Sum over robust runs of the winning schedule's mean scenario cost
-  /// (EUR); divide by robust_runs for the average expected cost.
-  double robust_expected_cost_eur = 0.0;
-  /// Sum over robust runs of the winning schedule's CVaR (EUR).
-  double robust_cvar_eur = 0.0;
 
   /// Adds `other` field by field. The implementation destructures the whole
   /// struct, so adding a field without extending Merge() fails to compile.
@@ -108,6 +96,28 @@ struct EngineStats {
 
 EngineStats& operator+=(EngineStats& lhs, const EngineStats& rhs);
 EngineStats operator+(EngineStats lhs, const EngineStats& rhs);
+
+/// The wire ids of published (forwarded) macro offers: actor *
+/// kMacroIdStride + aggregate id * lanes + lane, so every actor owns one
+/// stride of the id space and each of its `lanes` engines one residue class
+/// inside it.
+inline constexpr uint64_t kMacroIdStride = 1000000;
+
+/// The wire id of aggregate `aggregate_id` published by `actor` on `lane`
+/// of `lanes`; nullopt when the intra-actor index would reach the stride
+/// (it would alias the next actor's range at the parent level).
+inline std::optional<flexoffer::FlexOfferId> MacroWireId(
+    flexoffer::ActorId actor, uint64_t aggregate_id, uint64_t lane,
+    uint64_t lanes) {
+  const uint64_t intra_actor = aggregate_id * lanes + lane;
+  if (intra_actor >= kMacroIdStride) return std::nullopt;
+  return actor * kMacroIdStride + intra_actor;
+}
+
+/// The lane (of `lanes`) that published macro wire id `wire_id`.
+inline uint64_t MacroLane(flexoffer::FlexOfferId wire_id, uint64_t lanes) {
+  return wire_id % kMacroIdStride % lanes;
+}
 
 /// The EDMS Control component as a single facade (paper §3, §8): one engine
 /// drives the full flex-offer life cycle — offered, accepted, aggregated,
@@ -156,15 +166,12 @@ class EdmsEngine {
     /// Scheduler factory (see SchedulerRegistry); empty resolves to
     /// DefaultSchedulerFactory().
     SchedulerFactory scheduler_factory;
-    double scheduler_budget_s = 0.05;
-    /// Scale the per-gate budget with problem size (ScaledTimeBudget):
+    /// Per-gate wall-clock cap, scaled with problem size (ScaledTimeBudget):
     /// a gate scheduling `n` macro offers over `horizon` slices gets
-    /// scheduler_budget_s * min(1, n * horizon / budget_reference_work),
-    /// floored at 2% of the cap, so tiny late gates stop burning the full
-    /// budget. The saved time accrues in EngineStats::budget_saved_s.
-    bool scale_budget_with_problem_size = true;
-    /// Problem size (offers x horizon slices) that earns the full budget.
-    double budget_reference_work = 32.0 * 96.0;
+    /// scheduler_budget_s * min(1, n * horizon / (32 * 96)), floored at 2%
+    /// of the cap, so tiny late gates stop burning the full budget. The
+    /// saved time accrues in EngineStats::budget_saved_s.
+    double scheduler_budget_s = 0.05;
     /// Iteration cap per scheduling run (<= 0: no cap). Set this and a
     /// non-positive time budget for bit-deterministic runs. At least one of
     /// the two limits must be set for the greedy and EA schedulers: with
@@ -185,30 +192,6 @@ class EdmsEngine {
     double max_buy_kwh = 50.0;
     double max_sell_kwh = 50.0;
 
-    /// --- Uncertainty-aware scheduling --------------------------------
-    /// Forecast-error scenarios per gate. > 0 wraps the configured
-    /// scheduler in a scheduling::RobustScheduler: each gate bootstraps an
-    /// ensemble of this many per-slice baseline-error scenarios from
-    /// `forecast_residuals` (seeded deterministically per gate) and
-    /// re-ranks the candidate schedules by expected cost plus tail risk.
-    /// 0 disables (pure point scheduling). Ignored while
-    /// `forecast_residuals` is null or empty.
-    int ensemble_scenarios = 0;
-    /// CVaR tail mass of the robust ranking objective, in (0, 1].
-    double ensemble_cvar_alpha = 0.25;
-    /// Weight of the tail term: rank = mean + weight * (CVaR - mean).
-    double ensemble_risk_weight = 0.5;
-    /// Fitted forecast-error pool the gate ensembles draw from — e.g. a
-    /// HwtModel's residuals() after fitting the baseline series (the same
-    /// model a ForecastBaselineProvider wraps).
-    std::shared_ptr<const std::vector<double>> forecast_residuals;
-    /// Fan-out seam for the per-scenario evaluations; null evaluates
-    /// serially on the gate thread. The WorkerPoolExecutor deadlock
-    /// contract applies (pool_executor.h): do not point this at a pool
-    /// whose workers drive this engine (e.g. this engine's
-    /// ShardedEdmsRuntime pool).
-    std::shared_ptr<scheduling::Executor> ensemble_executor;
-
     /// When false, gate closures publish macro offers (MacroPublished with
     /// forwarded = true) instead of scheduling; schedules return via
     /// CompleteMacroSchedule().
@@ -220,11 +203,10 @@ class EdmsEngine {
     /// round trip plus the owner's metering cadence; 0 disables the check.
     int execution_timeout_slices = 32;
 
-    /// Identifier lane of published macro offers: the wire id is
-    /// actor * 1000000 + aggregate id * macro_id_lanes + macro_id_lane.
-    /// The sharded runtime gives every shard its own lane so macros
-    /// published by different shards of one actor never collide; the
-    /// defaults reproduce the single-engine id scheme.
+    /// Identifier lane of published macro offers (see MacroWireId()). The
+    /// sharded runtime gives every shard its own lane so macros published
+    /// by different shards of one actor never collide; the defaults
+    /// reproduce the single-engine id scheme.
     uint64_t macro_id_lane = 0;
     uint64_t macro_id_lanes = 1;
   };

@@ -25,7 +25,7 @@ SchedulerRegistry& SchedulerRegistry::Default() {
     });
     // Default-constructed Robust carries a degenerate ensemble, i.e. it is
     // exactly its inner greedy scheduler until an ensemble is configured
-    // (EdmsEngine::Config::ensemble_scenarios builds the configured form).
+    // (RobustScheduler::Config::ensemble).
     (void)r->Register("Robust", [] {
       return std::make_unique<scheduling::RobustScheduler>();
     });

@@ -11,9 +11,7 @@
 
 namespace mirabel::edms {
 
-using flexoffer::ActorId;
 using flexoffer::FlexOffer;
-using flexoffer::FlexOfferId;
 using flexoffer::ScheduledFlexOffer;
 using flexoffer::TimeSlice;
 
@@ -21,20 +19,20 @@ using flexoffer::TimeSlice;
 /// shard's strand, so each engine stays effectively single-threaded; the
 /// strand's internal lock and the futures returned by Post() provide the
 /// happens-before edges that make the caller's reads between joined calls
-/// race-free. `intake` is the streaming-mode MPSC channel into the strand.
+/// race-free. `intake` is the MPSC channel from the submitters into the
+/// strand.
 ///
 /// Everything between `intake_error` and `last_drain_slice` is
 /// strand-confined (written only by strand tasks — or the caller thread in
-/// the inline no-pool deployment — and read by joined tasks); cross-thread
+/// the inline deployment — and read by joined tasks); cross-thread
 /// visibility happens only through `slot`, the seqlock cell the strand
 /// republishes after every task (FinishShardTask), which is what makes
 /// Snapshot() safe from any thread mid-stream.
 struct ShardedEdmsRuntime::Shard {
   std::unique_ptr<EdmsEngine> engine;
   IntakeQueue intake;
-  /// First deferred streaming-intake error, returned once by the next
-  /// joined Advance()/FlushIntake(); every error is additionally counted in
-  /// overlay.intake_errors.
+  /// First deferred intake error, returned once by the next barrier; every
+  /// error is additionally counted in overlay.intake_errors.
   Status intake_error = Status::OK();
   /// Runtime-side counters that belong in the shard's merged stats but not
   /// in the engine (intake_errors, metering_failures).
@@ -51,7 +49,7 @@ struct ShardedEdmsRuntime::Shard {
   /// The published mid-stream snapshot (single writer: the strand).
   SnapshotSlot slot;
   /// Declared last on purpose: the strand's destructor joins the shard's
-  /// pending tasks (fire-and-forget streaming drains included), and those
+  /// pending tasks (fire-and-forget intake drains included), and those
   /// tasks touch every member above — so the strand must be destroyed
   /// first, the engine and queues after.
   std::unique_ptr<WorkerPool::Strand> strand;
@@ -59,9 +57,9 @@ struct ShardedEdmsRuntime::Shard {
 
 namespace {
 
-/// How many deferred streaming-intake errors each shard writes to the log
-/// before falling back to counting only (overlay.intake_errors keeps the
-/// full tally).
+/// How many deferred intake errors each shard writes to the log before
+/// falling back to counting only (overlay.intake_errors keeps the full
+/// tally).
 constexpr int kMaxLoggedIntakeErrors = 5;
 
 /// Monotonic nanosecond stamp for intake batches (steady_clock, the same
@@ -81,17 +79,15 @@ EdmsEngine::Config ShardEngineConfig(const ShardedEdmsRuntime::Config& config,
   ec.macro_id_lanes = num_shards;
   // Independent stochastic streams per shard.
   ec.seed = config.engine.seed + 1000003ULL * static_cast<uint64_t>(shard);
-  if (config.divide_scheduler_budget && num_shards > 1) {
-    // Hold the total per-gate scheduling effort constant across shard
-    // counts: each shard gets 1/N of the budget for its 1/N-sized problem.
-    if (ec.scheduler_budget_s > 0.0) {
-      ec.scheduler_budget_s /= static_cast<double>(num_shards);
-    }
-    if (ec.scheduler_max_iterations > 0) {
-      ec.scheduler_max_iterations =
-          (ec.scheduler_max_iterations + static_cast<int>(num_shards) - 1) /
-          static_cast<int>(num_shards);
-    }
+  // Hold the total per-gate scheduling effort constant across shard
+  // counts: each shard gets 1/N of the budget for its 1/N-sized problem.
+  if (ec.scheduler_budget_s > 0.0) {
+    ec.scheduler_budget_s /= static_cast<double>(num_shards);
+  }
+  if (ec.scheduler_max_iterations > 0) {
+    ec.scheduler_max_iterations =
+        (ec.scheduler_max_iterations + static_cast<int>(num_shards) - 1) /
+        static_cast<int>(num_shards);
   }
   return ec;
 }
@@ -111,35 +107,20 @@ void DrainFutures(std::vector<std::future<void>>& futures) {
   if (first_error != nullptr) std::rethrow_exception(first_error);
 }
 
-/// Joins a fan-out, keeping the first error.
-Status JoinAll(std::vector<std::future<void>>& futures,
-               std::vector<Status>& statuses) {
-  DrainFutures(futures);
-  for (Status& st : statuses) {
-    if (!st.ok()) return std::move(st);
-  }
-  return Status::OK();
-}
-
 }  // namespace
 
 ShardedEdmsRuntime::ShardedEdmsRuntime(const Config& config)
     : config_(config) {
   if (config_.num_shards == 0) config_.num_shards = 1;
   if (!config_.router) config_.router = OwnerModuloRouter();
-  // The plain single-shard deployment runs every call inline on the caller
-  // thread (a zero-overhead engine wrapper); strands only exist when there
-  // is a partition to fan out over, a pool to share, or streaming intake
-  // that must overlap the caller.
-  const bool needs_pool = config_.num_shards > 1 || config_.pool != nullptr ||
-                          config_.streaming_intake;
-  if (needs_pool) {
-    pool_ = config_.pool;
-    if (pool_ == nullptr) {
-      WorkerPool::Options options;
-      options.num_threads = config_.num_shards;
-      pool_ = std::make_shared<WorkerPool>(options);
-    }
+  // The inline deployment runs every call on the caller thread; strands
+  // only exist when there is a partition to fan out over or a pool to
+  // share.
+  pool_ = config_.pool;
+  if (pool_ == nullptr && config_.num_shards > 1) {
+    WorkerPool::Options options;
+    options.num_threads = config_.num_shards;
+    pool_ = std::make_shared<WorkerPool>(options);
   }
   shards_.reserve(config_.num_shards);
   for (size_t i = 0; i < config_.num_shards; ++i) {
@@ -152,7 +133,7 @@ ShardedEdmsRuntime::ShardedEdmsRuntime(const Config& config)
 }
 
 ShardedEdmsRuntime::~ShardedEdmsRuntime() {
-  // Join each strand's pending tasks (streaming drains included) first:
+  // Join each strand's pending tasks (intake drains included) first:
   // whatever was posted before destruction began still runs against a live
   // shard. Then count what nobody drained — batches can survive the join
   // when a drain task died on an exception or the caller raced the
@@ -178,38 +159,57 @@ ShardedEdmsRuntime::~ShardedEdmsRuntime() {
   }
 }
 
-void ShardedEdmsRuntime::RunOnShard(size_t i, std::function<void()> fn) {
-  Shard* shard = shards_[i].get();
-  if (pool_ == nullptr) {
-    Stopwatch watch;
-    fn();
-    FinishShardTask(*shard, watch.ElapsedSeconds());
-    return;
-  }
-  shard->strand
-      ->Post([this, shard, fn = std::move(fn)] {
-        Stopwatch watch;
-        fn();
-        FinishShardTask(*shard, watch.ElapsedSeconds());
-      })
-      .get();
+template <typename Fn>
+auto ShardedEdmsRuntime::RunTask(Shard& shard, Fn&& fn) {
+  Stopwatch watch;
+  auto result = fn();
+  FinishShardTask(shard, watch.ElapsedSeconds());
+  return result;
 }
 
-void ShardedEdmsRuntime::DrainShardIntake(Shard& shard) {
+template <typename Fn>
+Status ShardedEdmsRuntime::OnShard(size_t i, Fn&& fn) {
+  Shard& shard = *shards_[i];
+  if (pool_ == nullptr) return RunTask(shard, fn);
+  Status st = Status::OK();
+  shard.strand->Post([&] { st = RunTask(shard, fn); }).get();
+  return st;
+}
+
+template <typename Fn>
+Status ShardedEdmsRuntime::ForEachShard(Fn&& fn) {
+  if (pool_ == nullptr) {
+    return RunTask(*shards_[0], [&] { return fn(size_t{0}); });
+  }
+  std::vector<Status> statuses(shards_.size(), Status::OK());
+  std::vector<std::future<void>> futures;
+  futures.reserve(shards_.size());
+  for (size_t i = 0; i < shards_.size(); ++i) {
+    Shard* shard = shards_[i].get();
+    futures.push_back(shard->strand->Post([this, shard, i, &fn, &statuses] {
+      statuses[i] = RunTask(*shard, [&] { return fn(i); });
+    }));
+  }
+  DrainFutures(futures);
+  for (Status& st : statuses) {
+    if (!st.ok()) return std::move(st);
+  }
+  return Status::OK();
+}
+
+void ShardedEdmsRuntime::DrainIntake(Shard& shard) {
   IntakeBatch batch;
   while (shard.intake.Pop(&batch)) {
     ++shard.drained_batches;
     shard.last_drain_slice = batch.now;
-    if (batch.enqueue_ns != 0) {
-      shard.last_queue_wait_s =
-          static_cast<double>(MonotonicNanos() - batch.enqueue_ns) * 1e-9;
-    }
+    shard.last_queue_wait_s =
+        static_cast<double>(MonotonicNanos() - batch.enqueue_ns) * 1e-9;
     Result<size_t> r = shard.engine->SubmitOffers(
         std::span<const FlexOffer>(batch.offers), batch.now);
     if (r.ok()) continue;
     if (r.status().code() == StatusCode::kAlreadyExists) {
       // The engine rejected the whole batch before any state change. A
-      // streaming producer cannot pre-check ids race-free, so duplicates
+      // concurrent producer cannot pre-check ids race-free, so duplicates
       // are dropped here: resubmit per offer and keep the fresh ones (the
       // same tolerance the bus adapter applies to re-sent offers).
       for (const FlexOffer& offer : batch.offers) {
@@ -224,12 +224,17 @@ void ShardedEdmsRuntime::DrainShardIntake(Shard& shard) {
   }
 }
 
+Status ShardedEdmsRuntime::Barrier(Shard& shard) {
+  DrainIntake(shard);
+  return std::exchange(shard.intake_error, Status::OK());
+}
+
 void ShardedEdmsRuntime::NoteIntakeError(Shard& shard, const Status& status) {
   ++shard.overlay.intake_errors;
   if (shard.intake_error.ok()) shard.intake_error = status;
   if (shard.logged_intake_errors < kMaxLoggedIntakeErrors) {
     ++shard.logged_intake_errors;
-    MIRABEL_LOG(kWarning) << "deferred streaming-intake error ("
+    MIRABEL_LOG(kWarning) << "deferred intake error ("
                           << shard.overlay.intake_errors
                           << " so far on this shard): " << status;
   }
@@ -260,7 +265,7 @@ void ShardedEdmsRuntime::ScheduleIntakeDrain(size_t i) {
   (void)shard->strand->Post([this, shard] {
     Stopwatch watch;
     try {
-      DrainShardIntake(*shard);
+      DrainIntake(*shard);
     } catch (const std::exception& e) {
       NoteIntakeError(
           *shard,
@@ -279,85 +284,41 @@ void ShardedEdmsRuntime::ShedBucket(std::vector<FlexOffer> bucket,
   std::lock_guard<std::mutex> lock(shed_events_mu_);
   shed_events_.reserve(shed_events_.size() + bucket.size());
   for (const FlexOffer& offer : bucket) {
-    shed_events_.push_back(
-        OfferRejected{offer.id, offer.owner, now, RejectReason::kOverloaded});
+    shed_events_.emplace_back(std::in_place_type<OfferRejected>, offer.id,
+                              offer.owner, now, RejectReason::kOverloaded);
   }
 }
 
 Result<size_t> ShardedEdmsRuntime::SubmitOffers(
     std::span<const FlexOffer> offers, TimeSlice now) {
-  const size_t n = shards_.size();
   if (pool_ == nullptr) {
-    Stopwatch watch;
-    Result<size_t> r = shards_[0]->engine->SubmitOffers(offers, now);
-    FinishShardTask(*shards_[0], watch.ElapsedSeconds());
-    return r;
+    return RunTask(*shards_[0], [&] {
+      return shards_[0]->engine->SubmitOffers(offers, now);
+    });
   }
-
+  // Enqueue and return. The drain tasks run concurrently with whatever the
+  // strands are doing (e.g. a gate on another shard), and this path is safe
+  // from any number of producer threads.
+  const size_t n = shards_.size();
   std::vector<std::vector<FlexOffer>> buckets(n);
   for (const FlexOffer& offer : offers) {
     buckets[ShardOf(offer.owner)].push_back(offer);
   }
-
-  if (config_.streaming_intake) {
-    // Stream: enqueue and return. The drain tasks run concurrently with
-    // whatever the strands are doing (e.g. a gate on another shard), and
-    // this path is safe from any number of producer threads.
-    const auto max_pending =
-        static_cast<int64_t>(config_.max_pending_batches_per_shard);
-    if (max_pending > 0 &&
-        config_.overload_policy == Config::OverloadPolicy::kReject) {
-      // All-or-nothing: probe every target queue before enqueuing anything,
-      // so a rejected call leaves no partial intake behind.
-      for (size_t i = 0; i < n; ++i) {
-        if (buckets[i].empty()) continue;
-        if (shards_[i]->intake.ApproxDepth() >= max_pending) {
-          return Status::ResourceExhausted(
-              "shard " + std::to_string(i) + " intake queue is full (" +
-              std::to_string(max_pending) + " pending batches)");
-        }
-      }
-    }
-    const int64_t enqueue_ns = MonotonicNanos();
-    size_t enqueued = 0;
-    for (size_t i = 0; i < n; ++i) {
-      if (buckets[i].empty()) continue;
-      if (max_pending > 0 &&
-          config_.overload_policy == Config::OverloadPolicy::kShed &&
-          shards_[i]->intake.ApproxDepth() >= max_pending) {
-        ShedBucket(std::move(buckets[i]), now);
-        continue;
-      }
-      enqueued += buckets[i].size();
-      shards_[i]->intake.Push({std::move(buckets[i]), now, enqueue_ns});
-      ScheduleIntakeDrain(i);
-    }
-    return enqueued;
-  }
-
-  std::vector<Status> statuses(n, Status::OK());
-  std::vector<size_t> accepted(n, 0);
-  std::vector<std::future<void>> futures;
-  futures.reserve(n);
+  const auto max_pending =
+      static_cast<int64_t>(config_.max_pending_batches_per_shard);
+  const int64_t enqueue_ns = MonotonicNanos();
+  size_t enqueued = 0;
   for (size_t i = 0; i < n; ++i) {
     if (buckets[i].empty()) continue;
-    futures.push_back(shards_[i]->strand->Post([this, i, &buckets, &statuses,
-                                                &accepted, now] {
-      Stopwatch watch;
-      Result<size_t> r = shards_[i]->engine->SubmitOffers(
-          std::span<const FlexOffer>(buckets[i]), now);
-      if (r.ok()) {
-        accepted[i] = *r;
-      } else {
-        statuses[i] = r.status();
-      }
-      FinishShardTask(*shards_[i], watch.ElapsedSeconds());
-    }));
+    if (max_pending > 0 && shards_[i]->intake.ApproxDepth() >= max_pending) {
+      ShedBucket(std::move(buckets[i]), now);
+      continue;
+    }
+    enqueued += buckets[i].size();
+    shards_[i]->intake.Push({std::move(buckets[i]), now, enqueue_ns});
+    ScheduleIntakeDrain(i);
   }
-  MIRABEL_RETURN_IF_ERROR(JoinAll(futures, statuses));
-  size_t total = 0;
-  for (size_t count : accepted) total += count;
-  return total;
+  return enqueued;
 }
 
 Status ShardedEdmsRuntime::SubmitOffer(const FlexOffer& offer, TimeSlice now) {
@@ -365,179 +326,65 @@ Status ShardedEdmsRuntime::SubmitOffer(const FlexOffer& offer, TimeSlice now) {
 }
 
 Status ShardedEdmsRuntime::Advance(TimeSlice now) {
-  const size_t n = shards_.size();
-  if (pool_ == nullptr) {
-    Stopwatch watch;
-    Status st = shards_[0]->engine->Advance(now);
-    FinishShardTask(*shards_[0], watch.ElapsedSeconds());
-    return st;
-  }
-  std::vector<Status> statuses(n, Status::OK());
-  std::vector<std::future<void>> futures;
-  futures.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    futures.push_back(shards_[i]->strand->Post([this, i, &statuses, now] {
-      Stopwatch watch;
-      Shard& shard = *shards_[i];
-      // A due gate sees every batch enqueued before this task ran; deferred
-      // streaming-intake errors outrank gate errors (they happened first).
-      DrainShardIntake(shard);
-      Status st = std::exchange(shard.intake_error, Status::OK());
-      statuses[i] = st.ok() ? shard.engine->Advance(now) : std::move(st);
-      FinishShardTask(shard, watch.ElapsedSeconds());
-    }));
-  }
-  return JoinAll(futures, statuses);
+  return ForEachShard([this, now](size_t i) {
+    // A due gate sees every batch enqueued before this task ran; deferred
+    // intake errors outrank gate errors (they happened first).
+    MIRABEL_RETURN_IF_ERROR(Barrier(*shards_[i]));
+    return shards_[i]->engine->Advance(now);
+  });
 }
 
 Status ShardedEdmsRuntime::ExpireDeadlines(TimeSlice now) {
-  const size_t n = shards_.size();
-  if (pool_ == nullptr) {
-    Stopwatch watch;
-    shards_[0]->engine->ExpireDeadlines(now);
-    FinishShardTask(*shards_[0], watch.ElapsedSeconds());
-    return Status::OK();
-  }
-  std::vector<Status> statuses(n, Status::OK());
-  std::vector<std::future<void>> futures;
-  futures.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    futures.push_back(shards_[i]->strand->Post([this, i, &statuses, now] {
-      Stopwatch watch;
-      Shard& shard = *shards_[i];
-      DrainShardIntake(shard);
-      statuses[i] = std::exchange(shard.intake_error, Status::OK());
-      shard.engine->ExpireDeadlines(now);
-      FinishShardTask(shard, watch.ElapsedSeconds());
-    }));
-  }
-  return JoinAll(futures, statuses);
+  return ForEachShard([this, now](size_t i) {
+    Status st = Barrier(*shards_[i]);
+    shards_[i]->engine->ExpireDeadlines(now);
+    return st;
+  });
 }
 
 Status ShardedEdmsRuntime::FlushIntake() {
-  if (pool_ == nullptr || !config_.streaming_intake) return Status::OK();
-  const size_t n = shards_.size();
-  std::vector<Status> statuses(n, Status::OK());
-  std::vector<std::future<void>> futures;
-  futures.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    futures.push_back(shards_[i]->strand->Post([this, i, &statuses] {
-      Stopwatch watch;
-      Shard& shard = *shards_[i];
-      DrainShardIntake(shard);
-      statuses[i] = std::exchange(shard.intake_error, Status::OK());
-      FinishShardTask(shard, watch.ElapsedSeconds());
-    }));
-  }
-  return JoinAll(futures, statuses);
+  if (pool_ == nullptr) return Status::OK();
+  return ForEachShard([this](size_t i) { return Barrier(*shards_[i]); });
 }
 
 Status ShardedEdmsRuntime::CompleteMacroSchedule(
     const ScheduledFlexOffer& schedule, TimeSlice now) {
-  // Fork-join mode probes inline — the strands are quiescent between joined
-  // calls — and pays one strand round trip for the owning shard only. Under
-  // streaming intake a drain may run at any moment, so the probe itself
-  // must execute on the strand, serialized with gates and drains.
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    if (!config_.streaming_intake) {
-      if (!shards_[i]->engine->HasPendingMacro(schedule.offer_id)) continue;
-      Status st = Status::OK();
-      RunOnShard(i, [this, i, &schedule, &st, now] {
-        st = shards_[i]->engine->CompleteMacroSchedule(schedule, now);
-      });
-      return st;
-    }
-    Status st = Status::OK();
-    bool found = false;
-    RunOnShard(i, [this, i, &schedule, &st, &found, now] {
-      EdmsEngine& engine = *shards_[i]->engine;
-      if (!engine.HasPendingMacro(schedule.offer_id)) return;
-      found = true;
-      st = engine.CompleteMacroSchedule(schedule, now);
-    });
-    if (found) return st;
-  }
-  return Status::NotFound("no shard has pending macro offer " +
-                          std::to_string(schedule.offer_id));
-}
-
-Status ShardedEdmsRuntime::RecordExecution(FlexOfferId id, TimeSlice now,
-                                           double energy_kwh) {
-  // Same probe split as CompleteMacroSchedule(): inline when fork-join,
-  // on-strand when streaming.
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    if (!config_.streaming_intake) {
-      if (!shards_[i]->engine->lifecycle().SlotOf(id).has_value()) continue;
-      Status st = Status::OK();
-      RunOnShard(i, [this, i, id, now, energy_kwh, &st] {
-        st = shards_[i]->engine->RecordExecution(id, now, energy_kwh);
-      });
-      return st;
-    }
-    Status st = Status::OK();
-    bool found = false;
-    RunOnShard(i, [this, i, id, now, energy_kwh, &st, &found] {
-      EdmsEngine& engine = *shards_[i]->engine;
-      if (!engine.lifecycle().SlotOf(id).has_value()) return;
-      found = true;
-      st = engine.RecordExecution(id, now, energy_kwh);
-    });
-    if (found) return st;
-  }
-  return Status::NotFound("no shard knows offer " + std::to_string(id));
-}
-
-void ShardedEdmsRuntime::RecordMeasurement(ActorId actor, TimeSlice slice,
-                                           double energy_kwh) {
-  size_t i = ShardOf(actor);
-  RunOnShard(i, [this, i, actor, slice, energy_kwh] {
-    shards_[i]->engine->RecordMeasurement(actor, slice, energy_kwh);
+  // Shard i publishes on lane i of num_shards lanes, so the lane names the
+  // one shard that can hold the macro.
+  const size_t i = MacroLane(schedule.offer_id, shards_.size());
+  return OnShard(i, [&] {
+    return shards_[i]->engine->CompleteMacroSchedule(schedule, now);
   });
 }
 
 void ShardedEdmsRuntime::RecordMeterReadings(
     std::span<const MeterReading> readings) {
-  const size_t n = shards_.size();
-  if (pool_ == nullptr) {
-    Stopwatch watch;
-    Shard& shard = *shards_[0];
+  // The inline runtime meters the caller's span as is; a pooled one routes
+  // each reading to its actor's shard first.
+  std::vector<std::vector<MeterReading>> buckets;
+  if (pool_ != nullptr) {
+    buckets.resize(shards_.size());
+    for (const MeterReading& reading : readings) {
+      buckets[ShardOf(reading.actor)].push_back(reading);
+    }
+  }
+  (void)ForEachShard([&](size_t i) {
+    Shard& shard = *shards_[i];
     EdmsEngine& engine = *shard.engine;
-    for (const MeterReading& r : readings) {
+    std::span<const MeterReading> mine = readings;
+    if (!buckets.empty()) mine = buckets[i];
+    for (const MeterReading& r : mine) {
       engine.RecordMeasurement(r.actor, r.slice, r.energy_kwh);
+      // Execution failures (e.g. re-metered offers) are tolerated —
+      // duplicate-heavy bus traffic is normal — but counted, so they are
+      // visible instead of invisible.
       if (r.offer_id != 0 &&
           !engine.RecordExecution(r.offer_id, r.slice, r.energy_kwh).ok()) {
         ++shard.overlay.metering_failures;
       }
     }
-    FinishShardTask(shard, watch.ElapsedSeconds());
-    return;
-  }
-  std::vector<std::vector<MeterReading>> buckets(n);
-  for (const MeterReading& reading : readings) {
-    buckets[ShardOf(reading.actor)].push_back(reading);
-  }
-  std::vector<std::future<void>> futures;
-  futures.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    if (buckets[i].empty()) continue;
-    futures.push_back(shards_[i]->strand->Post([this, i, &buckets] {
-      Stopwatch watch;
-      Shard& shard = *shards_[i];
-      EdmsEngine& engine = *shard.engine;
-      for (const MeterReading& r : buckets[i]) {
-        engine.RecordMeasurement(r.actor, r.slice, r.energy_kwh);
-        // Execution failures (e.g. re-metered offers) are tolerated —
-        // duplicate-heavy bus traffic is normal — but counted, so they are
-        // visible instead of invisible.
-        if (r.offer_id != 0 &&
-            !engine.RecordExecution(r.offer_id, r.slice, r.energy_kwh).ok()) {
-          ++shard.overlay.metering_failures;
-        }
-      }
-      FinishShardTask(shard, watch.ElapsedSeconds());
-    }));
-  }
-  DrainFutures(futures);
+    return Status::OK();
+  });
 }
 
 std::vector<Event> ShardedEdmsRuntime::PollEvents() {
@@ -607,7 +454,7 @@ const EdmsEngine& ShardedEdmsRuntime::shard(size_t i) const {
   return *shards_[i]->engine;
 }
 
-size_t ShardedEdmsRuntime::ShardOf(ActorId owner) const {
+size_t ShardedEdmsRuntime::ShardOf(flexoffer::ActorId owner) const {
   size_t i = config_.router(owner, shards_.size());
   return i < shards_.size() ? i : i % shards_.size();
 }

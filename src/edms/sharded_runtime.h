@@ -2,7 +2,6 @@
 #define MIRABEL_EDMS_SHARDED_RUNTIME_H_
 
 #include <atomic>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -32,40 +31,36 @@ namespace mirabel::edms {
 /// per-shard streams into one deterministically ordered output (ascending
 /// emission slice, ties by shard index, per-shard emission order preserved).
 ///
-/// Intake comes in two modes:
-///  - Fork-join (default): SubmitOffers()/Advance() fan the work out to the
-///    shard strands, wait for all of them, and return the combined result —
-///    the caller observes exactly the single-engine API, and between calls
-///    the strands are quiescent, which makes the accessors (stats(),
-///    shard(), HasSeenOffer()) safe without locks.
-///  - Streaming (Config::streaming_intake): SubmitOffers() pushes routed
-///    batches into per-shard lock-free MPSC IntakeQueues and returns
-///    immediately with the enqueued count; shard strand tasks drain the
-///    queues into the engines, so intake proceeds concurrently with running
-///    gates ("intake is never gated on a scheduling pass", paper §3) and
-///    from any number of submitter threads. Acceptance/rejection surfaces
-///    through the event stream instead of the return value; duplicate ids
-///    are dropped at drain time. Advance() still joins (it is the control
-///    loop's barrier); the accessors require quiescence — every submitter
-///    stopped, then one FlushIntake()/Advance() — before they are safe.
+/// There are two deployments:
+///  - Inline (1 shard, no Config::pool): a zero-overhead engine wrapper.
+///    There are no workers; every call runs synchronously on the caller
+///    thread, and SubmitOffers() returns the number the engine accepted.
+///  - Pooled (more than one shard, or a pool handle): SubmitOffers() routes
+///    the batch, pushes the per-shard sub-batches into lock-free MPSC
+///    IntakeQueues and returns the number *enqueued*; shard strand tasks
+///    drain the queues into the engines, so intake proceeds concurrently
+///    with running gates ("intake is never gated on a scheduling pass",
+///    paper §3) and from any number of submitter threads. Acceptance and
+///    rejection surface through the event stream; duplicate ids are dropped
+///    at drain time. Advance(), ExpireDeadlines() and FlushIntake() are the
+///    barriers: each drains every shard's queue first, then joins.
 ///    Intake is bounded when Config::max_pending_batches_per_shard is set:
-///    on overflow, SubmitOffers() either sheds the overflowing sub-batches
-///    with OfferRejected{kOverloaded} events (OverloadPolicy::kShed, the
-///    default — reject-with-event beats silent OOM at millions of
-///    producers) or fails the whole call with ResourceExhausted
-///    (OverloadPolicy::kReject).
+///    a sub-batch whose shard queue is full is shed with one
+///    OfferRejected{kOverloaded} event per offer (reject-with-event beats
+///    silent OOM at millions of producers).
 ///
 /// Mid-stream observability: Snapshot() returns coherent merged stats and
 /// per-shard gauges (intake queue depth, strand task latency, last drain
 /// slice) from ANY thread at ANY time — each shard strand republishes its
 /// state through a seqlock slot after every task, so snapshots never require
-/// quiescence. stats()/shard()/HasSeenOffer() remain the exact, quiescent
-/// fast path (see the threading table in docs/architecture.md).
+/// quiescence. stats()/shard()/HasSeenOffer() are the exact, quiescent path:
+/// on a pooled runtime they are safe once every submitter stopped and one
+/// barrier returned (see the threading table in docs/architecture.md).
 ///
-/// Threading contract (see also docs/architecture.md): Advance(),
-/// CompleteMacroSchedule(), RecordExecution(), RecordMeterReadings(),
-/// PollEvents() are single-caller (the control thread). SubmitOffers() is
-/// additionally safe from concurrent producer threads in streaming mode.
+/// Threading contract: Advance(), ExpireDeadlines(), FlushIntake(),
+/// CompleteMacroSchedule(), RecordMeterReadings() and PollEvents() are
+/// single-caller (the control thread). SubmitOffers() is additionally safe
+/// from concurrent producer threads on a pooled runtime.
 ///
 /// Offer ids must be unique per owner across the runtime (true for every
 /// id scheme in the repo: owners mint their own namespaced ids). Duplicate
@@ -74,57 +69,36 @@ namespace mirabel::edms {
 class ShardedEdmsRuntime {
  public:
   struct Config {
-    /// Number of engine shards; 0 is treated as 1. With 1 shard (and no
-    /// shared pool, no streaming) the runtime degenerates to a
-    /// zero-overhead wrapper: no workers, every call runs inline on the
-    /// caller thread against the one engine.
+    /// Number of engine shards; 0 is treated as 1. With 1 shard and no
+    /// pool the runtime is the inline deployment (see the class comment).
     size_t num_shards = 1;
     /// Owner -> shard placement; null resolves to OwnerModuloRouter().
     ShardRouter router;
     /// Template configuration applied to every shard. Per shard, the
-    /// runtime derives: macro_id_lane/lanes (collision-free macro wire
-    /// ids), the seed (offset per shard) and — see below — the scheduler
-    /// budget.
+    /// runtime derives the macro id lane (collision-free macro wire ids),
+    /// the seed (offset per shard) and the scheduler budget: time and
+    /// iteration caps are divided by num_shards, holding the *total*
+    /// scheduling effort per gate closure constant across shard counts
+    /// (N shards each solve a 1/N-sized problem with 1/N of the budget).
     EdmsEngine::Config engine;
-    /// When true (default), the template's scheduler budget (time and
-    /// iteration caps) is divided by num_shards, holding the *total*
-    /// scheduling effort per gate closure constant across shard counts:
-    /// N shards each solve a 1/N-sized problem with 1/N of the budget.
-    /// Disable to give every shard the full template budget.
-    bool divide_scheduler_budget = true;
-    /// Worker pool to schedule the shard strands on. Null: the runtime
-    /// creates a private pool with `num_shards` workers (the
-    /// thread-per-shard footprint of the pre-pool runtime). Pass one pool
-    /// handle to several runtimes to run a whole multi-BRP deployment on a
-    /// fixed worker budget.
+    /// Worker pool to schedule the shard strands on. Null: a runtime with
+    /// more than one shard creates a private pool with `num_shards` workers.
+    /// Pass one pool handle to several runtimes to run a whole multi-BRP
+    /// deployment on a fixed worker budget.
     std::shared_ptr<WorkerPool> pool;
-    /// Enables streaming intake (see the class comment).
-    bool streaming_intake = false;
-    /// Streaming mode only: caps each shard's intake queue at this many
-    /// pending batches (0 = unbounded, today's behavior). The bound is
-    /// enforced approximately — producers racing SubmitOffers() can
-    /// transiently overshoot by about the producer count — which is the
-    /// right trade for a lock-free hot path; the guarantee is "bounded",
-    /// not "exact".
+    /// Pooled runtimes only: caps each shard's intake queue at this many
+    /// pending batches (0 = unbounded); overflow is shed (see the class
+    /// comment). The inline runtime admits synchronously and applies no
+    /// bound. The bound is enforced approximately — producers racing
+    /// SubmitOffers() can transiently overshoot by about the producer
+    /// count — which is the right trade for a lock-free hot path; the
+    /// guarantee is "bounded", not "exact".
     size_t max_pending_batches_per_shard = 0;
-    /// What SubmitOffers() does with a sub-batch whose shard queue is full.
-    enum class OverloadPolicy {
-      /// Drop the overflowing sub-batch and emit one
-      /// OfferRejected{kOverloaded} event per shed offer (counted in
-      /// EngineStats::offers_shed). The call still succeeds for the other
-      /// shards' sub-batches.
-      kShed = 0,
-      /// Fail the whole call synchronously with ResourceExhausted before
-      /// enqueuing anything (fork-join-style error for callers that prefer
-      /// to retry with backoff).
-      kReject = 1,
-    };
-    OverloadPolicy overload_policy = OverloadPolicy::kShed;
     /// Optional shutdown sink: when set, ~ShardedEdmsRuntime writes the
     /// final merged stats here after joining the strands, with
     /// offers_dropped_at_shutdown counting any offers still sitting
     /// undrained in shard intake queues — so offers can't vanish without a
-    /// trace when a streaming runtime is torn down mid-stream.
+    /// trace when a runtime is torn down mid-stream.
     std::shared_ptr<EngineStats> final_stats;
   };
 
@@ -134,15 +108,14 @@ class ShardedEdmsRuntime {
   ShardedEdmsRuntime(const ShardedEdmsRuntime&) = delete;
   ShardedEdmsRuntime& operator=(const ShardedEdmsRuntime&) = delete;
 
-  /// Fork-join mode: routes the batch to its shards, negotiates/admits each
-  /// sub-batch on the shard's strand in parallel, and returns the total
-  /// number accepted (or the first shard error; a duplicate id rejects its
-  /// own shard's sub-batch).
+  /// Inline: admits the batch on the caller thread and returns the number
+  /// accepted (or the engine's error; a duplicate id rejects the batch).
   ///
-  /// Streaming mode: enqueues the routed batches and returns the number
-  /// *enqueued*; outcomes arrive as OfferAccepted/OfferRejected events and
-  /// intake errors surface from the next Advance()/FlushIntake(). Safe to
-  /// call from multiple threads concurrently, including while gates run.
+  /// Pooled: enqueues the routed sub-batches and returns the number
+  /// *enqueued* (shed offers are not counted); outcomes arrive as
+  /// OfferAccepted/OfferRejected events, and intake errors surface from
+  /// the next barrier. Safe to call from multiple threads concurrently,
+  /// including while gates run.
   Result<size_t> SubmitOffers(std::span<const flexoffer::FlexOffer> offers,
                               flexoffer::TimeSlice now);
 
@@ -151,9 +124,9 @@ class ShardedEdmsRuntime {
                      flexoffer::TimeSlice now);
 
   /// Advances every shard's control loop to `now` in parallel and joins;
-  /// shards whose gate is due drain their pending intake first, then
-  /// aggregate + schedule (or publish) their own partition. Returns the
-  /// first deferred streaming-intake error, if any, before gate errors.
+  /// each shard drains its pending intake first, then aggregates and
+  /// schedules (or publishes) its own partition when its gate is due.
+  /// Returns the first deferred intake error, if any, before gate errors.
   Status Advance(flexoffer::TimeSlice now);
 
   /// Runs every shard's deadline-degradation pass
@@ -161,29 +134,21 @@ class ShardedEdmsRuntime {
   /// stale pipeline offers, forwarded macros whose schedule never returned,
   /// and assigned offers with overdue execution confirmations. Wind-down
   /// phases call this so offers reach terminal lifecycle states even though
-  /// no further gates open. Pending streaming intake is drained first so a
-  /// late batch cannot be admitted after its deadline check.
+  /// no further gates open. Pending intake is drained first so a late batch
+  /// cannot be admitted after its deadline check.
   Status ExpireDeadlines(flexoffer::TimeSlice now);
 
-  /// Drains every shard's pending streaming intake and joins, WITHOUT
-  /// advancing gates; returns the first deferred intake error. A no-op in
-  /// fork-join mode. After it returns (with no concurrent submitters) the
+  /// Drains every shard's pending intake and joins, WITHOUT advancing
+  /// gates; returns the first deferred intake error. A no-op on the inline
+  /// runtime. After it returns (with no concurrent submitters) the
   /// accessors are safe and PollEvents() sees every enqueued outcome.
   Status FlushIntake();
 
   /// Delivers the schedule of a forwarded macro offer to the shard that
-  /// published it. NotFound when no shard has such a macro pending.
+  /// published it: the one named by the wire id's lane (MacroLane()), in
+  /// one strand task. NotFound when that shard has no such macro pending.
   Status CompleteMacroSchedule(const flexoffer::ScheduledFlexOffer& schedule,
                                flexoffer::TimeSlice now);
-
-  /// Records execution of an assigned offer on the shard that owns it.
-  /// NotFound when no shard knows the id.
-  Status RecordExecution(flexoffer::FlexOfferId id, flexoffer::TimeSlice now,
-                         double energy_kwh);
-
-  /// Appends a raw measurement to the store of the actor's shard.
-  void RecordMeasurement(flexoffer::ActorId actor, flexoffer::TimeSlice slice,
-                         double energy_kwh);
 
   /// One metered reading on the bus hot path; `offer_id` != 0 additionally
   /// closes that offer's lifecycle (execution metering).
@@ -195,10 +160,10 @@ class ShardedEdmsRuntime {
   };
 
   /// Batch metering: routes each reading to its actor's shard (the shard
-  /// that owns the actor's offers) and records all of them in one fork-join
-  /// instead of a strand round trip per reading. Execution failures (e.g.
-  /// re-metered offers) are tolerated — matching the bus adapter's
-  /// tolerance of duplicate messages — but counted in
+  /// that owns the actor's offers), appends the measurement to that shard's
+  /// store and records the execution, in one fan-out. Execution failures
+  /// (unknown or re-metered offers) are tolerated — matching the bus
+  /// adapter's tolerance of duplicate messages — but counted in
   /// EngineStats::metering_failures so they stay visible.
   void RecordMeterReadings(std::span<const MeterReading> readings);
 
@@ -211,7 +176,7 @@ class ShardedEdmsRuntime {
   std::vector<Event> PollEvents();
 
   /// Shard stats summed with EngineStats::Merge(). Exact, but requires
-  /// quiescence in streaming mode (see the class comment); for mid-stream
+  /// quiescence on a pooled runtime (see the class comment); for mid-stream
   /// reads use Snapshot().
   EngineStats stats() const;
 
@@ -235,8 +200,8 @@ class ShardedEdmsRuntime {
   bool HasSeenOffer(const flexoffer::FlexOffer& offer) const;
 
   /// The pool the shard strands run on (the configured handle, or the
-  /// runtime's private pool); null in the inline single-shard deployment.
-  /// Share it with further runtimes via Config::pool.
+  /// runtime's private pool); null in the inline deployment. Share it with
+  /// further runtimes via Config::pool.
   const std::shared_ptr<WorkerPool>& pool() const { return pool_; }
 
   const Config& config() const { return config_; }
@@ -244,11 +209,25 @@ class ShardedEdmsRuntime {
  private:
   struct Shard;
 
-  /// Runs `fn` serialized with shard `i`'s tasks: inline when the runtime
-  /// has no pool, else posted on the strand and joined.
-  void RunOnShard(size_t i, std::function<void()> fn);
-  /// Strand context only: drains shard `i`'s intake queue into its engine.
-  void DrainShardIntake(Shard& shard);
+  /// Runs `fn()` as one task of `shard` and returns its result: times it
+  /// and republishes the shard's snapshot. Strand context (or the caller
+  /// thread of the inline runtime) only.
+  template <typename Fn>
+  auto RunTask(Shard& shard, Fn&& fn);
+  /// Runs `fn()` serialized with shard `i`'s other tasks and returns its
+  /// Status: inline without a pool, else posted on the strand and joined.
+  template <typename Fn>
+  Status OnShard(size_t i, Fn&& fn);
+  /// The per-shard fan-out: runs `fn(i)` once for every shard i, in
+  /// parallel on the strands, joins them all and returns the first error
+  /// in shard order. Without a pool it runs inline on the one shard.
+  template <typename Fn>
+  Status ForEachShard(Fn&& fn);
+  /// Strand context only: drains the shard's intake queue into its engine.
+  void DrainIntake(Shard& shard);
+  /// Strand context only: the barrier step — drains the shard's intake,
+  /// then returns (and clears) its first deferred intake error.
+  Status Barrier(Shard& shard);
   /// Posts a fire-and-forget intake drain for shard `i`.
   void ScheduleIntakeDrain(size_t i);
   /// Strand context only: records one deferred intake error (counter +
@@ -268,8 +247,8 @@ class ShardedEdmsRuntime {
   /// while the pool is still alive.
   std::shared_ptr<WorkerPool> pool_;
   std::vector<std::unique_ptr<Shard>> shards_;
-  /// Offers shed under OverloadPolicy::kShed (runtime-level: shed offers
-  /// never reach a shard engine). Added into stats()/Snapshot() merges.
+  /// Offers shed by a bounded intake (runtime-level: shed offers never
+  /// reach a shard engine). Added into stats()/Snapshot() merges.
   std::atomic<int64_t> shed_offers_{0};
   /// Pending OfferRejected{kOverloaded} events from producer-side sheds,
   /// merged into the next PollEvents() drain. Mutex-guarded: this is the

@@ -53,7 +53,7 @@ class WorkerPool {
     size_t num_threads = 0;
     /// Allow idle workers to steal runnable strands from siblings. Disabled,
     /// every strand is pinned to its home worker and the pool reproduces the
-    /// pre-pool thread-per-shard fork-join behaviour (the bench baseline).
+    /// pre-pool thread-per-shard behaviour.
     bool enable_stealing = true;
   };
 

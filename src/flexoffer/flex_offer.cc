@@ -24,6 +24,9 @@ double FlexOffer::TotalEnergyFlexibility() const {
 }
 
 Status FlexOffer::Validate() const {
+  if (id == 0) {
+    return Status::InvalidArgument("flex-offer id 0 is reserved");
+  }
   if (profile.empty()) {
     return Status::InvalidArgument("flex-offer profile is empty");
   }

@@ -80,6 +80,8 @@ struct FlexOffer {
   double TotalEnergyFlexibility() const;
 
   /// Checks the structural invariants:
+  ///  * a non-zero id (0 is reserved: the aggregation layer uses it to mark
+  ///    cancelled entries),
   ///  * non-empty profile,
   ///  * min <= max in every slice,
   ///  * earliest_start <= latest_start,

@@ -74,9 +74,6 @@ class Forecaster {
   /// Number of parameter re-estimations triggered by maintenance.
   int reestimation_count() const { return reestimation_count_; }
 
-  const HwtModel& model() const { return model_; }
-  const ForecasterConfig& config() const { return config_; }
-
  private:
   /// Re-estimates parameters warm-started from the current params.
   Status Reestimate();

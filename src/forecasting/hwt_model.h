@@ -2,7 +2,6 @@
 #define MIRABEL_FORECASTING_HWT_MODEL_H_
 
 #include <span>
-#include <string>
 #include <vector>
 
 #include "common/result.h"
@@ -42,8 +41,6 @@ class HwtModel {
   /// series of the experiments only two cycles are identifiable, which
   /// matches Taylor's double-seasonal variant.
   explicit HwtModel(std::vector<int> seasonal_periods);
-
-  std::string Name() const { return "HWT"; }
 
   /// Number of free parameters: 1 (alpha) + #seasons (gammas) + 1 (phi).
   size_t NumParams() const { return 2 + seasonal_periods_.size(); }
@@ -105,9 +102,6 @@ class HwtModel {
   const std::vector<double>& residuals() const { return residuals_; }
 
   const std::vector<double>& params() const { return params_; }
-  const std::vector<int>& seasonal_periods() const {
-    return seasonal_periods_;
-  }
 
  private:
   /// One season's ring during a fit: the season's scratch indices, the

@@ -17,12 +17,10 @@ edms::ShardedEdmsRuntime::Config RuntimeConfig(
     const AggregatingNode::Config& config) {
   edms::ShardedEdmsRuntime::Config rc;
   rc.num_shards = config.num_shards;
-  rc.router = config.router;
   rc.pool = config.pool;
   rc.engine = config.engine;
   rc.engine.actor = config.id;
   rc.engine.schedule_locally = config.parent == 0;
-  rc.streaming_intake = config.streaming_intake;
   rc.max_pending_batches_per_shard = config.max_pending_batches_per_shard;
   return rc;
 }
@@ -207,10 +205,7 @@ void AggregatingNode::DispatchEvents() {
         nack.to = rejected->owner;
         nack.sent_at = rejected->at;
         nack.offer_id = rejected->offer;
-        nack.value = static_cast<double>(
-            config_.nack_retry_after_slices > 0
-                ? config_.nack_retry_after_slices
-                : config_.engine.gate_period);
+        nack.value = static_cast<double>(config_.engine.gate_period);
         ++nacks_sent_;
         (void)channel_.Send(nack);
         continue;

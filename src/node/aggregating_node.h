@@ -22,10 +22,11 @@ using AggregatingStats = edms::EngineStats;
 /// The node's job is translation only, and it is batch-first: incoming
 /// flex-offers are buffered and submitted as ONE batch per tick (not one
 /// engine call per bus message), so a node absorbing thousands of prosumer
-/// messages per slice pays one routed fan-out per gate period instead of a
-/// per-message round trip. Engine events become bus messages (accept/reject
-/// replies, macro forwards to the parent node, member schedules to their
-/// owners). All orchestration lives in the runtime's shards.
+/// messages per slice pays one routed submit per tick instead of a
+/// per-message round trip; the tick's Advance() drains it before the gate.
+/// Engine events become bus messages (accept/reject replies, macro forwards
+/// to the parent node, member schedules to their owners). All orchestration
+/// lives in the runtime's shards.
 class AggregatingNode {
  public:
   struct Config {
@@ -33,11 +34,9 @@ class AggregatingNode {
     /// Parent node (TSO) to forward macro offers to; 0 = schedule locally.
     NodeId parent = 0;
     /// Engine shards of this node's runtime; prosumers are partitioned by
-    /// owner id (edms::OwnerModuloRouter by default). 1 = the single-engine
-    /// deployment.
+    /// owner id (edms::OwnerModuloRouter). 1 (with no pool) = the inline
+    /// single-engine deployment.
     size_t num_shards = 1;
-    /// Optional custom owner -> shard placement.
-    edms::ShardRouter router;
     /// Optional shared worker pool for the node's runtime: a multi-BRP
     /// deployment passes every node one handle, so the whole hierarchy
     /// schedules its shard work (with stealing) on one fixed set of worker
@@ -48,16 +47,12 @@ class AggregatingNode {
     /// `engine.schedule_locally` are derived from `id`/`parent` by the
     /// constructor.
     edms::EdmsEngine::Config engine;
-    /// Streaming-intake knobs threaded through to the runtime (see
-    /// ShardedEdmsRuntime::Config). With a bounded queue the runtime sheds
-    /// overflow as OfferRejected{kOverloaded}; this node turns those into
-    /// kNack bus replies so prosumers retry with backoff instead of losing
-    /// the offer.
-    bool streaming_intake = false;
+    /// Intake bound of a pooled runtime (see ShardedEdmsRuntime::Config).
+    /// The runtime sheds overflow as OfferRejected{kOverloaded}; this node
+    /// turns those into kNack bus replies carrying a retry-after of one
+    /// gate period — by then a full scheduling pass has drained the queues
+    /// — so prosumers retry with backoff instead of losing the offer.
     size_t max_pending_batches_per_shard = 0;
-    /// Retry-after carried in overload NACKs (slices); 0 derives one gate
-    /// period — by then a full scheduling pass has drained the queues.
-    int64_t nack_retry_after_slices = 0;
     /// Transport reliability (retry/ack/dedupe); `self` and `seed` are
     /// derived from `id` and the reliability seed by the constructor.
     ReliableChannel::Config reliability;

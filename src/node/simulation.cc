@@ -83,7 +83,6 @@ EdmsSimulation::EdmsSimulation(const SimulationConfig& config)
     tso_cfg.engine.scheduler_max_iterations = config.scheduler_max_iterations;
     tso_cfg.engine.seed = config.seed * 7 + 1;
     tso_cfg.reliability = config.reliability;
-    tso_cfg.streaming_intake = config.streaming_intake;
     tso_cfg.max_pending_batches_per_shard =
         config.max_pending_batches_per_shard;
     // The TSO balances the residual of the whole area.
@@ -120,7 +119,6 @@ EdmsSimulation::EdmsSimulation(const SimulationConfig& config)
     brp_cfg.engine.scheduler_max_iterations = config.scheduler_max_iterations;
     brp_cfg.engine.seed = config.seed * 13 + static_cast<uint64_t>(b);
     brp_cfg.reliability = config.reliability;
-    brp_cfg.streaming_intake = config.streaming_intake;
     brp_cfg.max_pending_batches_per_shard =
         config.max_pending_batches_per_shard;
 

@@ -49,10 +49,9 @@ struct SimulationConfig {
   /// scheduler_budget_s <= 0 for bit-reproducible runs (chaos tests rerun
   /// scenarios and diff the reports).
   int scheduler_max_iterations = 0;
-  /// Streaming-intake knobs for the aggregating nodes; a bounded queue plus
-  /// the default shed policy turns overload into kNack replies that
-  /// prosumers honor with backoff. 0 = unbounded fork-join (default).
-  bool streaming_intake = false;
+  /// Intake bound of the aggregating nodes' pooled runtimes (used when
+  /// shards_per_node > 1); overflow is shed as kNack replies that prosumers
+  /// honor with backoff. 0 = unbounded (default).
   size_t max_pending_batches_per_shard = 0;
 };
 

@@ -162,12 +162,11 @@ TEST(ChaosTest, RetriesRecoverWhatFireAndForgetLoses) {
 }
 
 TEST(ChaosTest, BoundedStreamingIntakeStaysConserved) {
-  // Streaming intake with a tiny bound: whether or not the timing provokes
-  // sheds, every NACK a prosumer received was sent by a BRP, and the run
-  // stays conserved.
+  // Pooled (streaming) intake with a tiny bound: whether or not the timing
+  // provokes sheds, every NACK a prosumer received was sent by a BRP, and
+  // the run stays conserved.
   SimulationConfig cfg = ChaosConfig();
   cfg.shards_per_node = 2;
-  cfg.streaming_intake = true;
   cfg.max_pending_batches_per_shard = 1;
   EdmsSimulation sim(cfg);
   SimulationReport report = sim.Run();

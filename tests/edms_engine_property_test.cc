@@ -1,8 +1,8 @@
 // Seeded property test of the engine's per-offer bookkeeping. Random
 // interleavings of intake (fresh, repeated, batch-repeated and invalid
-// offers), gate ticks, returning macro schedules (forwarding mode),
-// executions (late and duplicate ones included) and deadline passes run
-// against a small reference model that learns each offer's fate from the
+// offers, the reserved id 0 among them), gate ticks, returning macro
+// schedules (forwarding mode), executions (late and duplicate ones included)
+// and deadline passes run against a small reference model that learns each offer's fate from the
 // calls' results and the event stream. After every step the engine's
 // lifecycle counts, its store's per-state fact counts and its stats must
 // equal the model's tallies; at the end every admitted offer has exactly one
@@ -34,6 +34,7 @@ enum class Fate { kPending, kAssigned, kExecuted, kExpired, kRejected };
 struct Coverage {
   int64_t repeated_batches = 0;
   int64_t invalid_offers = 0;
+  int64_t zero_ids = 0;
   int64_t rejected_deliveries = 0;
   int64_t executions = 0;
   int64_t refused_executions = 0;
@@ -143,6 +144,17 @@ class EngineModel {
     } else if (batch.size() > 1 && rng_.Bernoulli(0.05)) {
       batch.back().id = batch.front().id;
       repeated = true;
+    }
+    // The reserved id 0 is one more invalid input, once per engine (a second
+    // one would be a repeated id).
+    if (!repeated && !zero_submitted_ && rng_.Bernoulli(0.1)) {
+      FlexOffer& fo = batch[rng_.Index(batch.size())];
+      if (invalid.count(fo.id) == 0) {
+        fo.id = 0;
+        invalid.insert(0);
+        zero_submitted_ = true;
+        ++coverage_->zero_ids;
+      }
     }
     const EngineStats before = engine_.stats();
     Result<size_t> accepted = engine_.SubmitOffers(batch, now_);
@@ -363,6 +375,7 @@ class EngineModel {
   EdmsEngine engine_;
   TimeSlice now_ = 0;
   FlexOfferId next_id_ = 1;
+  bool zero_submitted_ = false;
   std::map<FlexOfferId, Fate> fate_;
   std::map<FlexOfferId, int> terminal_events_;
   std::map<FlexOfferId, PendingMacro> macros_;
@@ -386,6 +399,7 @@ void RunSeeds(bool forwarding) {
   }
   EXPECT_GT(coverage.repeated_batches, 0);
   EXPECT_GT(coverage.invalid_offers, 0);
+  EXPECT_GT(coverage.zero_ids, 0);
   EXPECT_GT(coverage.executions, 0);
   EXPECT_GT(coverage.refused_executions, 0);
   EXPECT_GT(coverage.pipeline_expiries, 0);

@@ -179,6 +179,35 @@ TEST(EdmsEngineTest, InvalidAndLowValueOffersAreRejected) {
   EXPECT_EQ(EventName(events[1]), "OfferRejected");
 }
 
+TEST(EdmsEngineTest, OfferWithIdZeroIsRejectedWithoutStrandingItsBatch) {
+  // Id 0 is reserved by the aggregation layer. It must fail validation
+  // like any other malformed offer, so its batch neighbours are admitted
+  // and nothing is left behind in kOffered.
+  EdmsEngine engine(DeterministicConfig());
+  std::vector<FlexOffer> offers = {testutil::OwnedOffer(5, 501, 24, 30, 50),
+                                   testutil::OwnedOffer(0, 502, 24, 30, 50),
+                                   testutil::OwnedOffer(6, 503, 24, 30, 50)};
+  auto submitted = engine.SubmitOffers(std::span<const FlexOffer>(offers), 0);
+  ASSERT_TRUE(submitted.ok()) << submitted.status();
+  EXPECT_EQ(*submitted, 2u);
+  EXPECT_EQ(LifecycleState(engine, 0), OfferState::kRejected);
+  // One decision per offer: the rejection is emitted at validation, the
+  // acceptances after the batch's pipeline pass.
+  std::vector<Event> events = engine.PollEvents();
+  ASSERT_EQ(events.size(), 3u);
+  ASSERT_EQ(EventName(events[0]), "OfferRejected");
+  EXPECT_EQ(std::get<OfferRejected>(events[0]).offer, 0u);
+  EXPECT_EQ(EventName(events[1]), "OfferAccepted");
+  EXPECT_EQ(EventName(events[2]), "OfferAccepted");
+
+  // The gate schedules both neighbours and trips no invariant.
+  ASSERT_TRUE(engine.Advance(0).ok());
+  EXPECT_EQ(LifecycleState(engine, 5), OfferState::kAssigned);
+  EXPECT_EQ(LifecycleState(engine, 6), OfferState::kAssigned);
+  EXPECT_EQ(engine.lifecycle().CountInState(OfferState::kOffered), 0u);
+  EXPECT_EQ(engine.stats().invariant_violations, 0);
+}
+
 TEST(EdmsEngineTest, DuplicateSubmissionIsAlreadyExists) {
   EdmsEngine engine(DeterministicConfig());
   FlexOffer fo = testutil::OwnedOffer(1, 501, 24, 30, 50);

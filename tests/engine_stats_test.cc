@@ -38,10 +38,6 @@ EngineStats Filled(int64_t base) {
   s.portfolio_wins_ea = base + 23;
   s.portfolio_wins_bnb = base + 24;
   s.bnb_optimal_proven = base + 25;
-  s.robust_runs = base + 26;
-  s.robust_scenario_evaluations = base + 27;
-  s.robust_expected_cost_eur = static_cast<double>(base) + 28.5;
-  s.robust_cvar_eur = static_cast<double>(base) + 29.5;
   return s;
 }
 
@@ -73,11 +69,6 @@ void ExpectSum(const EngineStats& merged, int64_t a, int64_t b) {
   EXPECT_EQ(merged.portfolio_wins_ea, a + b + 46);
   EXPECT_EQ(merged.portfolio_wins_bnb, a + b + 48);
   EXPECT_EQ(merged.bnb_optimal_proven, a + b + 50);
-  EXPECT_EQ(merged.robust_runs, a + b + 52);
-  EXPECT_EQ(merged.robust_scenario_evaluations, a + b + 54);
-  EXPECT_DOUBLE_EQ(merged.robust_expected_cost_eur,
-                   static_cast<double>(a + b) + 57.0);
-  EXPECT_DOUBLE_EQ(merged.robust_cvar_eur, static_cast<double>(a + b) + 59.0);
 }
 
 TEST(EngineStatsTest, MergeCoversEveryField) {

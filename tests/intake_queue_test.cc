@@ -1,4 +1,4 @@
-// Tests of the MPSC IntakeQueue, the streaming-intake channel into a
+// Tests of the MPSC IntakeQueue, the intake channel into a pooled
 // ShardedEdmsRuntime shard: per-producer FIFO, cross-thread visibility of
 // the batch payloads, and loss-free operation under producer contention.
 //

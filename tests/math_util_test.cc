@@ -1,6 +1,5 @@
 #include "common/math_util.h"
 
-#include <cmath>
 #include <gtest/gtest.h>
 
 namespace mirabel {
@@ -69,28 +68,6 @@ TEST(SmapeTest, SymmetricInArguments) {
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   EXPECT_DOUBLE_EQ(*a, *b);
-}
-
-TEST(MapeTest, SkipsZeroActuals) {
-  auto r = Mape({0.0, 100.0}, {50.0, 110.0});
-  ASSERT_TRUE(r.ok());
-  EXPECT_NEAR(*r, 0.1, 1e-12);
-}
-
-TEST(MapeTest, AllZeroActualsIsError) {
-  EXPECT_FALSE(Mape({0.0, 0.0}, {1.0, 2.0}).ok());
-}
-
-TEST(RmseTest, KnownValue) {
-  auto r = Rmse({0.0, 0.0}, {3.0, 4.0});
-  ASSERT_TRUE(r.ok());
-  EXPECT_NEAR(*r, std::sqrt(12.5), 1e-12);
-}
-
-TEST(SseTest, KnownValue) {
-  auto r = SumSquaredError({1.0, 2.0}, {2.0, 4.0});
-  ASSERT_TRUE(r.ok());
-  EXPECT_DOUBLE_EQ(*r, 5.0);
 }
 
 TEST(FitLineTest, RecoversExactLine) {

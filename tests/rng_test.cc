@@ -91,14 +91,6 @@ TEST(RngTest, BernoulliFrequency) {
   EXPECT_NEAR(static_cast<double>(hits) / n, 0.3, 0.01);
 }
 
-TEST(RngTest, ExponentialMean) {
-  Rng rng(15);
-  double sum = 0.0;
-  const int n = 100000;
-  for (int i = 0; i < n; ++i) sum += rng.Exponential(2.0);
-  EXPECT_NEAR(sum / n, 0.5, 0.02);
-}
-
 TEST(RngTest, ShuffleIsPermutation) {
   Rng rng(16);
   std::vector<int> v(100);

@@ -104,10 +104,9 @@ TEST(SnapshotSlotTest, ConcurrentReadersNeverSeeTornSnapshots) {
   EXPECT_EQ(last.stats.offers_received, kPublishes);
 }
 
-ShardedEdmsRuntime::Config StreamingConfig(size_t num_shards) {
+ShardedEdmsRuntime::Config SnapshotRuntimeConfig(size_t num_shards) {
   ShardedEdmsRuntime::Config rc;
   rc.num_shards = num_shards;
-  rc.streaming_intake = true;
   rc.engine.actor = 100;
   rc.engine.negotiate = true;
   rc.engine.aggregation.params = aggregation::AggregationParams::P3();
@@ -141,7 +140,7 @@ void ExpectCoherent(const RuntimeSnapshot& snap) {
 /// Snapshot() the whole time. TSan vets the seqlock protocol; the asserts
 /// vet coherence and per-shard monotonicity.
 TEST(RuntimeSnapshotTest, SnapshotIsCoherentUnderConcurrentStreaming) {
-  ShardedEdmsRuntime runtime(StreamingConfig(4));
+  ShardedEdmsRuntime runtime(SnapshotRuntimeConfig(4));
   constexpr int kProducers = 4;
   constexpr uint64_t kOffersPerProducer = 36;
 
@@ -216,10 +215,7 @@ TEST(RuntimeSnapshotTest, SnapshotIsCoherentUnderConcurrentStreaming) {
 TEST(RuntimeSnapshotTest, InlineModePublishesSnapshotsToo) {
   // The 1-shard no-pool deployment runs everything on the caller thread;
   // Snapshot() must still reflect the state after each call.
-  ShardedEdmsRuntime::Config rc = StreamingConfig(1);
-  rc.streaming_intake = false;
-  rc.pool = nullptr;
-  ShardedEdmsRuntime runtime(rc);
+  ShardedEdmsRuntime runtime(SnapshotRuntimeConfig(1));
 
   std::vector<FlexOffer> offers;
   for (uint64_t k = 0; k < 6; ++k) {

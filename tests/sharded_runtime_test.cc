@@ -105,7 +105,7 @@ struct RunOutcome {
 };
 
 /// Full lifecycle round trip: batch intake at 0, one gate, execution of
-/// every assigned schedule at slice 40.
+/// every assigned schedule metered at slice 40.
 RunOutcome RunWorkload(size_t num_shards) {
   ShardedEdmsRuntime runtime(RuntimeConfig(num_shards));
   std::vector<FlexOffer> offers = Workload();
@@ -115,19 +115,18 @@ RunOutcome RunWorkload(size_t num_shards) {
   EXPECT_TRUE(runtime.Advance(0).ok());
 
   RunOutcome outcome;
-  std::vector<ScheduledFlexOffer> schedules;
+  std::vector<ShardedEdmsRuntime::MeterReading> readings;
   for (const Event& event : runtime.PollEvents()) {
     outcome.digests.push_back(Digest(event));
     if (const auto* e = std::get_if<OfferAccepted>(&event)) {
       outcome.accepted.insert(e->offer);
     } else if (const auto* e = std::get_if<ScheduleAssigned>(&event)) {
       outcome.assigned.insert(e->schedule.offer_id);
-      schedules.push_back(e->schedule);
+      readings.push_back({e->owner, /*slice=*/40, e->schedule.TotalEnergy(),
+                          e->schedule.offer_id});
     }
   }
-  for (const ScheduledFlexOffer& s : schedules) {
-    EXPECT_TRUE(runtime.RecordExecution(s.offer_id, 40, s.TotalEnergy()).ok());
-  }
+  runtime.RecordMeterReadings(readings);
   for (const Event& event : runtime.PollEvents()) {
     outcome.digests.push_back(Digest(event));
     if (const auto* e = std::get_if<OfferExecuted>(&event)) {
@@ -219,9 +218,20 @@ TEST(ShardedRuntimeTest, RouterControlsPlacement) {
 
   std::vector<FlexOffer> offers = Workload();  // owners 501..508, 3 each
   ASSERT_TRUE(runtime.SubmitOffers(std::span<const FlexOffer>(offers), 0).ok());
+  // The engines are read only once the intake drained.
+  ASSERT_TRUE(runtime.FlushIntake().ok());
   EXPECT_EQ(runtime.shard(0).stats().offers_received, 12);
   EXPECT_EQ(runtime.shard(1).stats().offers_received, 12);
   EXPECT_TRUE(runtime.HasSeenOffer(offers.front()));
+}
+
+/// The schedule that runs `macro` at its earliest start at full energy.
+ScheduledFlexOffer FullSchedule(const FlexOffer& macro) {
+  ScheduledFlexOffer s;
+  s.offer_id = macro.id;
+  s.start = macro.earliest_start;
+  for (const auto& band : macro.profile) s.energies_kwh.push_back(band.max_kwh);
+  return s;
 }
 
 TEST(ShardedRuntimeTest, ForwardingModePublishesLaneUniqueMacros) {
@@ -251,13 +261,7 @@ TEST(ShardedRuntimeTest, ForwardingModePublishesLaneUniqueMacros) {
   // Returning schedules route to the shard that published each macro.
   int assigned = 0;
   for (const FlexOffer& macro : published) {
-    ScheduledFlexOffer s;
-    s.offer_id = macro.id;
-    s.start = macro.earliest_start;
-    for (const auto& band : macro.profile) {
-      s.energies_kwh.push_back(band.max_kwh);
-    }
-    ASSERT_TRUE(runtime.CompleteMacroSchedule(s, 1).ok());
+    ASSERT_TRUE(runtime.CompleteMacroSchedule(FullSchedule(macro), 1).ok());
   }
   for (const Event& event : runtime.PollEvents()) {
     if (std::get_if<ScheduleAssigned>(&event) != nullptr) ++assigned;
@@ -270,21 +274,51 @@ TEST(ShardedRuntimeTest, ForwardingModePublishesLaneUniqueMacros) {
             StatusCode::kNotFound);
 }
 
-TEST(ShardedRuntimeTest, ExecutionRoutingRejectsUnknownIds) {
-  ShardedEdmsRuntime runtime(RuntimeConfig(2));
-  EXPECT_EQ(runtime.RecordExecution(999999, 1, 1.0).code(),
-            StatusCode::kNotFound);
-}
-
-TEST(ShardedRuntimeTest, DuplicateIdsRejectOnlyTheirShard) {
-  ShardedEdmsRuntime runtime(RuntimeConfig(2));
-  std::vector<FlexOffer> offers = Workload();
+TEST(ShardedRuntimeTest, MacroSchedulesRouteByLaneInOneStrandTask) {
+  ShardedEdmsRuntime::Config rc = RuntimeConfig(3);
+  rc.engine.schedule_locally = false;
+  ShardedEdmsRuntime runtime(rc);
+  std::vector<FlexOffer> offers = Workload();  // owners 501..508: all shards
   ASSERT_TRUE(runtime.SubmitOffers(std::span<const FlexOffer>(offers), 0).ok());
-  // Resubmitting one offer poisons its own shard's sub-batch (engine
-  // semantics), and the runtime surfaces the error.
-  auto again = runtime.SubmitOffers(
-      std::span<const FlexOffer>(offers.data(), 1), 0);
-  EXPECT_EQ(again.status().code(), StatusCode::kAlreadyExists);
+  ASSERT_TRUE(runtime.Advance(0).ok());
+
+  std::vector<FlexOffer> published;
+  for (const Event& event : runtime.PollEvents()) {
+    if (const auto* e = std::get_if<MacroPublished>(&event)) {
+      published.push_back(e->macro);
+    }
+  }
+  std::set<size_t> lanes;
+  for (const FlexOffer& macro : published) {
+    // The wire id's lane names the shard that holds the macro, and the
+    // completion is one task on that shard's strand: no probe of the others.
+    const size_t lane = MacroLane(macro.id, runtime.num_shards());
+    lanes.insert(lane);
+    EXPECT_TRUE(runtime.shard(lane).HasPendingMacro(macro.id)) << macro.id;
+    const int64_t tasks = runtime.Snapshot().strand_tasks_run;
+    ASSERT_TRUE(runtime.CompleteMacroSchedule(FullSchedule(macro), 1).ok());
+    EXPECT_EQ(runtime.Snapshot().strand_tasks_run, tasks + 1);
+    EXPECT_FALSE(runtime.shard(lane).HasPendingMacro(macro.id));
+  }
+  EXPECT_EQ(lanes.size(), 3u);
+  int assigned = 0;
+  for (const Event& event : runtime.PollEvents()) {
+    if (std::get_if<ScheduleAssigned>(&event) != nullptr) ++assigned;
+  }
+  EXPECT_EQ(assigned, 24);
+
+  // A wire id on lane 1 that shard 1 never published, and a completed
+  // macro's id: both NotFound, each after one task on the lane's shard.
+  ASSERT_FALSE(published.empty());
+  ScheduledFlexOffer stray = FullSchedule(published.front());
+  stray.offer_id = *MacroWireId(100, /*aggregate_id=*/999, /*lane=*/1, 3);
+  const int64_t tasks = runtime.Snapshot().strand_tasks_run;
+  EXPECT_EQ(runtime.CompleteMacroSchedule(stray, 1).code(),
+            StatusCode::kNotFound);
+  EXPECT_EQ(runtime.Snapshot().strand_tasks_run, tasks + 1);
+  EXPECT_EQ(
+      runtime.CompleteMacroSchedule(FullSchedule(published.front()), 1).code(),
+      StatusCode::kNotFound);
 }
 
 /// 48 offers from 16 owners whose windows all fit every gate of the test's
@@ -322,13 +356,12 @@ void Collect(ShardedEdmsRuntime& runtime, IdSets* out) {
 }
 
 /// Drives StreamingWorkload() through gates 0, 8, ..., 40. Tick-aligned:
-/// everything submitted (fork-join) before the first gate. Streaming: a
+/// the control thread submits the whole batch before gate 0. Streaming: a
 /// producer thread submits 4-offer batches concurrently with gates 0..24,
 /// then the intake is flushed before the later gates.
 IdSets RunStreamingWorkload(bool streaming, ShardRouter router = nullptr,
                             std::shared_ptr<WorkerPool> pool = nullptr) {
   ShardedEdmsRuntime::Config rc = RuntimeConfig(4);
-  rc.streaming_intake = streaming;
   rc.router = std::move(router);
   rc.pool = std::move(pool);
   ShardedEdmsRuntime runtime(rc);
@@ -408,9 +441,7 @@ TEST(ShardedRuntimeTest, SkewedRouterStreamingStaysCorrectAndBounded) {
 }
 
 TEST(ShardedRuntimeTest, StreamingDuplicatesAreDroppedAtDrain) {
-  ShardedEdmsRuntime::Config rc = RuntimeConfig(2);
-  rc.streaming_intake = true;
-  ShardedEdmsRuntime runtime(rc);
+  ShardedEdmsRuntime runtime(RuntimeConfig(2));
   std::vector<FlexOffer> offers = Workload();
 
   ASSERT_TRUE(
@@ -439,15 +470,13 @@ TEST(ShardedRuntimeTest, StreamingDuplicatesAreDroppedAtDrain) {
 }
 
 TEST(ShardedRuntimeTest, DestructionJoinsPendingStreamingDrains) {
-  // Regression: destroying a streaming runtime right after SubmitOffers()
+  // Regression: destroying a pooled runtime right after SubmitOffers()
   // must join each strand's fire-and-forget drain tasks BEFORE the shard's
   // intake queue and engine are destroyed (the ASan job catches the
   // use-after-free if the Shard member order regresses).
   std::vector<FlexOffer> offers = Workload();
   for (int round = 0; round < 20; ++round) {
-    ShardedEdmsRuntime::Config rc = RuntimeConfig(4);
-    rc.streaming_intake = true;
-    ShardedEdmsRuntime runtime(rc);
+    ShardedEdmsRuntime runtime(RuntimeConfig(4));
     ASSERT_TRUE(
         runtime.SubmitOffers(std::span<const FlexOffer>(offers), 0).ok());
     // Destroyed here with the drains possibly still queued.
@@ -505,28 +534,22 @@ struct BoundedOutcome {
   int64_t depth_while_blocked = 0;
 };
 
-BoundedOutcome RunBoundedIntake(
-    size_t max_pending, ShardedEdmsRuntime::Config::OverloadPolicy policy) {
+BoundedOutcome RunBoundedIntake(size_t max_pending) {
   WorkerPool::Options pool_options;
   pool_options.num_threads = 1;
   auto pool = std::make_shared<WorkerPool>(pool_options);
 
   ShardedEdmsRuntime::Config rc = RuntimeConfig(2);
-  rc.streaming_intake = true;
   rc.pool = pool;
   rc.max_pending_batches_per_shard = max_pending;
-  rc.overload_policy = policy;
   ShardedEdmsRuntime runtime(rc);
 
   BoundedOutcome out;
   {
     BlockedWorker blocked(pool);
     for (const std::vector<FlexOffer>& call : BoundedIntakeCalls()) {
-      auto submitted =
-          runtime.SubmitOffers(std::span<const FlexOffer>(call), 0);
-      if (!submitted.ok()) {
-        EXPECT_EQ(submitted.status().code(), StatusCode::kResourceExhausted);
-      }
+      EXPECT_TRUE(
+          runtime.SubmitOffers(std::span<const FlexOffer>(call), 0).ok());
       // Mid-stream, from the submitter thread, with the queues backed up:
       // the snapshot path must stay available and see the live depth.
       out.depth_while_blocked = std::max(
@@ -548,11 +571,9 @@ BoundedOutcome RunBoundedIntake(
 }
 
 TEST(ShardedRuntimeTest, BoundedIntakeShedsWithOverloadedEvents) {
-  BoundedOutcome bounded = RunBoundedIntake(
-      2, ShardedEdmsRuntime::Config::OverloadPolicy::kShed);
+  BoundedOutcome bounded = RunBoundedIntake(2);
   // The unbounded twin of the same submissions accepts everything.
-  BoundedOutcome unbounded = RunBoundedIntake(
-      0, ShardedEdmsRuntime::Config::OverloadPolicy::kShed);
+  BoundedOutcome unbounded = RunBoundedIntake(0);
   ASSERT_EQ(unbounded.accepted.size(), 8u);
   EXPECT_TRUE(unbounded.shed.empty());
 
@@ -583,25 +604,11 @@ TEST(ShardedRuntimeTest, BoundedIntakeShedsWithOverloadedEvents) {
   EXPECT_GE(unbounded.depth_while_blocked, 7);
 }
 
-TEST(ShardedRuntimeTest, BoundedIntakeRejectPolicyFailsWholeCall) {
-  BoundedOutcome rejected = RunBoundedIntake(
-      2, ShardedEdmsRuntime::Config::OverloadPolicy::kReject);
-  // Rejected calls enqueue nothing anywhere: the mixed call's shard-0 offer
-  // is rejected along with its full shard-1 sub-batch, and no
-  // OfferRejected{kOverloaded} events are emitted.
-  EXPECT_EQ(rejected.accepted, (std::set<FlexOfferId>{50100, 50101}));
-  EXPECT_TRUE(rejected.shed.empty());
-  EXPECT_EQ(rejected.stats.offers_shed, 0);
-  EXPECT_EQ(rejected.stats.offers_received, 2);
-  EXPECT_LE(rejected.depth_while_blocked, 2);
-}
-
 TEST(ShardedRuntimeTest, FinalStatsSinkSurvivesShutdown) {
   auto sink = std::make_shared<EngineStats>();
   std::vector<FlexOffer> offers = Workload();
   {
     ShardedEdmsRuntime::Config rc = RuntimeConfig(4);
-    rc.streaming_intake = true;
     rc.final_stats = sink;
     ShardedEdmsRuntime runtime(rc);
     ASSERT_TRUE(
