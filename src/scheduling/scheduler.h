@@ -12,14 +12,16 @@
 namespace mirabel::scheduling {
 
 /// Budget of one scheduling run. The metaheuristics are anytime algorithms:
-/// they keep the best schedule found so far and stop on budget exhaustion.
+/// they keep the best schedule found so far. EA stops when a limit is hit.
+/// Greedy also stops by itself once its random restarts stop paying (see
+/// GreedyScheduler), so for greedy both limits are ceilings, not quotas.
 /// At least one of the two limits must be set: greedy and EA reject
-/// options that set neither with InvalidArgument, because they would never
-/// stop. (Branch-and-bound and exhaustive search terminate on their own.)
+/// options that set neither with InvalidArgument. (Branch-and-bound and
+/// exhaustive search terminate on their own.)
 struct SchedulerOptions {
   /// Wall-clock budget in seconds (<= 0: no time limit).
   double time_budget_s = 1.0;
-  /// Max iterations (greedy: construction+improvement steps; EA:
+  /// Max iterations (greedy: single-offer placement steps; EA:
   /// generations). <= 0: no iteration cap.
   int max_iterations = 0;
   uint64_t seed = 1;
@@ -122,9 +124,15 @@ class Scheduler {
 /// Randomized greedy search (paper §6): "constructs the schedule gradually —
 /// at each step a randomly chosen flex-offer is scheduled in the best
 /// possible position. This is repeated until all flex-offers have been
-/// scheduled." With budget left, the construction repeats from new random
-/// orders, and single-offer best-position improvement sweeps refine the
-/// incumbent; the best schedule across restarts is kept.
+/// scheduled." Single-offer best-position sweeps in new random orders then
+/// descend to a local optimum, from which the search restarts at a random
+/// schedule; the best schedule across restarts is kept. A schedule replaces
+/// the incumbent only when it is cheaper by more than 1e-9 of its cost, and
+/// the run stops at the first local optimum after 2 restarts in a row that
+/// did not. The iteration cap and the time budget are ceilings: a run that
+/// converges inside a time budget is deterministic per seed and equals an
+/// iteration-capped run with the same seed. `iterations` reports the steps
+/// that ran.
 class GreedyScheduler : public Scheduler {
  public:
   struct Config {

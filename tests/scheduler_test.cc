@@ -2,10 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <memory>
 #include <string>
 #include <utility>
 
+#include "common/stopwatch.h"
 #include "edms/scheduler_registry.h"
 #include "scheduling/compiled_problem.h"
 #include "scheduling/scenario.h"
@@ -128,6 +130,82 @@ TEST(SchedulerBudgetTest, AnytimeSchedulersRejectUnboundedOptions) {
     ASSERT_FALSE(run.ok()) << name;
     EXPECT_EQ(run.status().code(), StatusCode::kInvalidArgument) << name;
   }
+}
+
+// Greedy's stop rule: the iteration cap and the time budget are ceilings.
+// A run ends at the first local optimum after 2 restarts in a row that did
+// not beat the incumbent by more than 1e-9 of its cost.
+
+void ExpectSameRun(const SchedulingResult& a, const SchedulingResult& b) {
+  ASSERT_EQ(a.schedule.assignments.size(), b.schedule.assignments.size());
+  for (size_t i = 0; i < a.schedule.assignments.size(); ++i) {
+    EXPECT_EQ(a.schedule.assignments[i].start,
+              b.schedule.assignments[i].start);
+    EXPECT_EQ(a.schedule.assignments[i].fill, b.schedule.assignments[i].fill);
+  }
+  EXPECT_EQ(a.cost.total(), b.cost.total());
+  EXPECT_EQ(a.iterations, b.iterations);
+  ASSERT_EQ(a.trace.size(), b.trace.size());
+  for (size_t i = 0; i < a.trace.size(); ++i) {
+    EXPECT_EQ(a.trace[i].best_cost_eur, b.trace[i].best_cost_eur);
+  }
+}
+
+TEST(GreedyStopRuleTest, ConvergedRunIgnoresItsLimits) {
+  for (int n : {25, 100}) {
+    ScenarioConfig cfg;
+    cfg.num_offers = n;
+    SchedulingProblem problem = MakeScenario(cfg);
+    SchedulerOptions timed;
+    timed.time_budget_s = 30.0;
+    timed.max_iterations = 0;
+    timed.seed = 3;
+    Stopwatch watch;
+    auto by_time = GreedyScheduler().Run(problem, timed);
+    const double elapsed_s = watch.ElapsedSeconds();
+    ASSERT_TRUE(by_time.ok());
+    EXPECT_LT(elapsed_s, 1.0) << n << " offers";
+
+    SchedulerOptions capped = IterBudget(1000000);
+    capped.seed = timed.seed;
+    auto by_cap = GreedyScheduler().Run(problem, capped);
+    ASSERT_TRUE(by_cap.ok());
+    EXPECT_LT(by_cap->iterations, capped.max_iterations) << n << " offers";
+    ExpectSameRun(*by_time, *by_cap);
+  }
+}
+
+TEST(GreedyStopRuleTest, TracePointsAreRealImprovements) {
+  // MakeScenario's default problem scaled by 1,000 in energy, so that run
+  // costs reach ~1e5 EUR, a brp_rolling gate's size. One ULP there
+  // (~1.5e-11) exceeds an absolute 1e-12 margin, so two descents to the
+  // same local optimum that differ only by rounding must not both enter
+  // the trace. Small problems revisit the same optimum most often.
+  int steps = 0;
+  for (int n : {10, 20}) {
+    for (uint64_t seed = 1; seed <= 6; ++seed) {
+      ScenarioConfig cfg;
+      cfg.num_offers = n;
+      cfg.seed = seed;
+      cfg.imbalance_amplitude_kwh = 40000.0;
+      cfg.min_slice_energy_kwh = 1000.0;
+      cfg.max_slice_energy_kwh = 8000.0;
+      cfg.max_buy_kwh = 25000.0;
+      cfg.max_sell_kwh = 25000.0;
+      SchedulerOptions options = IterBudget(300 * n);
+      options.seed = seed;
+      auto run = GreedyScheduler().Run(MakeScenario(cfg), options);
+      ASSERT_TRUE(run.ok());
+      for (size_t i = 1; i < run->trace.size(); ++i) {
+        const double before = run->trace[i - 1].best_cost_eur;
+        EXPECT_LT(run->trace[i].best_cost_eur,
+                  before - 1e-9 * std::abs(before))
+            << n << " offers, seed " << seed << ", trace point " << i;
+        ++steps;
+      }
+    }
+  }
+  EXPECT_GT(steps, 0);
 }
 
 TEST(SchedulerFactoryTest, UnknownNameIsNotFound) {

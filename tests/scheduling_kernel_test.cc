@@ -234,7 +234,9 @@ TEST(SchedulingKernelPropertyTest, RejectsInfeasibleLikeTheReference) {
 // ---------------------------------------------------------------------------
 // Property 2: the rewired schedulers are bit-identical to the pre-kernel
 // implementations for fixed seeds under max_iterations budgets. The old
-// Run() loops are reproduced verbatim below on top of ReferenceCostEvaluator.
+// Run() loops are reproduced below on top of ReferenceCostEvaluator; the
+// greedy loop also carries the stop rule the kernel loop gained later (a
+// relative incumbent margin, and a stop after 2 fruitless restarts).
 // ---------------------------------------------------------------------------
 
 namespace reference {
@@ -279,6 +281,7 @@ SchedulingResult Greedy(const SchedulingProblem& problem,
   std::vector<size_t> order(problem.offers.size());
   std::iota(order.begin(), order.end(), 0);
   bool first_pass = true;
+  int fruitless_restarts = 0;
   while (!out_of_budget()) {
     rng.Shuffle(&order);
     bool improved_any = false;
@@ -305,12 +308,16 @@ SchedulingResult Greedy(const SchedulingProblem& problem,
       ++result.iterations;
     }
     double cost = evaluator.Cost().total();
-    if (cost < best_cost - 1e-12) {
+    if (cost < best_cost - 1e-9 * std::abs(best_cost)) {
       best_cost = cost;
       result.schedule = evaluator.schedule();
       result.trace.push_back({0.0, best_cost});
+      fruitless_restarts = 0;
     }
     if (!improved_any && !first_pass) {
+      // Stop at the local optimum after 2 restarts in a row without a gain.
+      if (fruitless_restarts == 2) break;
+      ++fruitless_restarts;
       Schedule random_schedule;
       random_schedule.assignments.reserve(problem.offers.size());
       for (const auto& fo : problem.offers) {
@@ -654,6 +661,21 @@ TEST(SchedulerBitIdentityTest, GreedyMatchesPreKernelImplementation) {
     GreedyScheduler greedy;
     auto got = greedy.Run(problem, options);
     ASSERT_TRUE(got.ok());
+    SchedulingResult want =
+        reference::Greedy(problem, options, GreedyScheduler::Config());
+    ExpectBitIdentical(*got, want);
+  }
+  // A cap deep enough for the stop rule to end the run: 4 passes cannot
+  // reach the second fruitless restart, 2,000 passes do.
+  for (int n : {25, 60}) {
+    ScenarioConfig cfg;
+    cfg.num_offers = n;
+    cfg.seed = 40 + static_cast<uint64_t>(n);
+    SchedulingProblem problem = MakeScenario(cfg);
+    SchedulerOptions options = IterBudget(2000 * n, 7);
+    auto got = GreedyScheduler().Run(problem, options);
+    ASSERT_TRUE(got.ok());
+    EXPECT_LT(got->iterations, options.max_iterations) << n << " offers";
     SchedulingResult want =
         reference::Greedy(problem, options, GreedyScheduler::Config());
     ExpectBitIdentical(*got, want);
