@@ -4,10 +4,16 @@
 // prosumer flex-offers through batch intake, and let the per-shard control
 // loops negotiate, aggregate (P2 + bin-packer), schedule with the
 // evolutionary algorithm and disaggregate — all observed through the merged
-// typed event stream. Pass a shard count as the first argument (default 1).
+// typed event stream. Every assigned schedule is metered when it ends, so
+// each scheduled offer closes as executed. Pass a shard count as the first
+// argument (default 1). Counts go to stdout and wall-clock timings to
+// stderr; the EA runs on a wall-clock budget, so the counts can vary from
+// run to run.
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
+#include <map>
 #include <vector>
 
 #include "common/stopwatch.h"
@@ -23,7 +29,8 @@ int main(int argc, char** argv) {
   size_t num_shards = 1;
   if (argc > 1) {
     long parsed = std::strtol(argv[1], nullptr, 10);
-    num_shards = parsed < 1 ? 1 : (parsed > 64 ? 64 : static_cast<size_t>(parsed));
+    num_shards =
+        parsed < 1 ? 1 : (parsed > 64 ? 64 : static_cast<size_t>(parsed));
   }
   Stopwatch total_watch;
 
@@ -115,28 +122,49 @@ int main(int argc, char** argv) {
     std::cerr << "intake failed: " << flushed << "\n";
     return 1;
   }
+  const double intake_s = intake_watch.ElapsedSeconds();
   const edms::EngineStats intake = engine.stats();
   std::printf("negotiation: %lld accepted, %lld rejected, %.0f EUR "
-              "flexibility payments (%.2fs)\n",
+              "flexibility payments\n",
               static_cast<long long>(intake.offers_accepted),
               static_cast<long long>(intake.offers_rejected),
-              intake.payments_eur, intake_watch.ElapsedSeconds());
+              intake.payments_eur);
 
   // --- The control loop: gates fire across the trading day -----------------
+  // Slice by slice: a gate closes every gate_period slices, and each owner
+  // reports its execution when its schedule ends. Gating goes on past the
+  // day until the last schedule has been metered.
   Stopwatch loop_watch;
   size_t macros = 0;
   size_t micro_schedules = 0;
   size_t expired = 0;
-  for (TimeSlice now = 0; now < 2 * kSlicesPerDay; now += config.gate_period) {
-    if (Status st = engine.Advance(now); !st.ok()) {
-      std::cerr << "gate failed: " << st << "\n";
-      return 1;
+  std::map<TimeSlice, std::vector<edms::ShardedEdmsRuntime::MeterReading>>
+      meter_at;
+  for (TimeSlice now = 0; now < 2 * kSlicesPerDay || !meter_at.empty();
+       ++now) {
+    if (now % config.gate_period == 0) {
+      if (Status st = engine.Advance(now); !st.ok()) {
+        std::cerr << "gate failed: " << st << "\n";
+        return 1;
+      }
+    }
+    if (auto due = meter_at.find(now); due != meter_at.end()) {
+      engine.RecordMeterReadings(due->second);
+      meter_at.erase(due);
     }
     for (const edms::Event& event : engine.PollEvents()) {
       if (std::get_if<edms::MacroPublished>(&event) != nullptr) {
         ++macros;
-      } else if (std::get_if<edms::ScheduleAssigned>(&event) != nullptr) {
+      } else if (const auto* assigned =
+                     std::get_if<edms::ScheduleAssigned>(&event)) {
         ++micro_schedules;
+        const ScheduledFlexOffer& schedule = assigned->schedule;
+        const TimeSlice end =
+            schedule.start +
+            static_cast<TimeSlice>(schedule.energies_kwh.size());
+        const TimeSlice at = std::max(end, now + 1);
+        meter_at[at].push_back(
+            {assigned->owner, at, schedule.TotalEnergy(), schedule.offer_id});
       } else if (std::get_if<edms::OfferExpired>(&event) != nullptr) {
         ++expired;
       }
@@ -149,18 +177,30 @@ int main(int argc, char** argv) {
     pooled += engine.shard(i).pipeline().Stats().offer_count;
   }
   std::printf("control loop: %lld scheduling runs, %zu macro offers, "
-              "%zu micro schedules, %zu expired (%.2fs)\n",
+              "%zu micro schedules, %zu expired\n",
               static_cast<long long>(stats.scheduling_runs), macros,
-              micro_schedules, expired, loop_watch.ElapsedSeconds());
+              micro_schedules, expired);
+  std::printf("metering: %lld executed, %lld timed out\n",
+              static_cast<long long>(stats.offers_executed),
+              static_cast<long long>(stats.executions_timed_out));
   // Imbalance reduction, not the raw before/after: the raw totals count
   // the shared area baseline once per shard's scheduling problem.
   std::printf("imbalance reduced %.0f kWh, schedule cost %.0f EUR, "
               "%zu offers still pooled\n",
               stats.imbalance_before_kwh - stats.imbalance_after_kwh,
               stats.schedule_cost_eur, pooled);
-  std::printf("trading day done in %.1fs\n", total_watch.ElapsedSeconds());
+  std::fprintf(stderr,
+               "timings: intake %.2fs, control loop %.2fs, trading day "
+               "%.1fs\n",
+               intake_s, loop_watch.ElapsedSeconds(),
+               total_watch.ElapsedSeconds());
   if (micro_schedules == 0) {
     std::cerr << "no schedules assigned\n";
+    return 1;
+  }
+  if (stats.executions_timed_out > 0 ||
+      stats.offers_executed != static_cast<int64_t>(micro_schedules)) {
+    std::cerr << "scheduled offers left unmetered\n";
     return 1;
   }
   return 0;
