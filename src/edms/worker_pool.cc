@@ -62,10 +62,9 @@ void WorkerPool::Enqueue(Strand* strand) {
     std::lock_guard<std::mutex> lock(mu_);
     queues_[strand->home_].push_back(strand);
   }
-  // notify_all, not _one: with stealing disabled only the home worker may
-  // run the strand, and a notify_one could wake a different (then
-  // re-sleeping) worker, stranding the task.
-  cv_.notify_all();
+  // Any idle worker may run the strand (its home worker, or a sibling that
+  // steals it), so waking one is enough.
+  cv_.notify_one();
 }
 
 void WorkerPool::WorkerLoop(size_t index) {
@@ -74,9 +73,8 @@ void WorkerPool::WorkerLoop(size_t index) {
     bool stolen = false;
     {
       std::unique_lock<std::mutex> lock(mu_);
-      cv_.wait(lock, [this, index] {
-        if (stop_ || !queues_[index].empty()) return true;
-        if (!options_.enable_stealing) return false;
+      cv_.wait(lock, [this] {
+        if (stop_) return true;
         for (const auto& queue : queues_) {
           if (!queue.empty()) return true;
         }
@@ -85,7 +83,7 @@ void WorkerPool::WorkerLoop(size_t index) {
       if (!queues_[index].empty()) {
         strand = queues_[index].front();
         queues_[index].pop_front();
-      } else if (options_.enable_stealing) {
+      } else {
         // Steal from the back of the longest sibling queue: the strand that
         // would otherwise wait the longest behind its home worker.
         size_t victim = index;

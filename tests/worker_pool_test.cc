@@ -1,7 +1,6 @@
 // Tests of the edms::WorkerPool strand scheduler: FIFO per strand, cross-
 // strand concurrency, and the stealing contract — an idle worker rescues
-// runnable strands stuck behind a busy home worker, and with stealing
-// disabled strands stay pinned (the fork-join baseline semantics).
+// runnable strands stuck behind a busy home worker.
 //
 // The CI thread-sanitizer job runs this suite.
 #include "edms/worker_pool.h"
@@ -19,22 +18,21 @@ namespace {
 
 using namespace std::chrono_literals;
 
-WorkerPool::Options PoolOptions(size_t threads, bool stealing) {
+WorkerPool::Options PoolOptions(size_t threads) {
   WorkerPool::Options options;
   options.num_threads = threads;
-  options.enable_stealing = stealing;
   return options;
 }
 
 TEST(WorkerPoolTest, ResolvesThreadCount) {
   WorkerPool defaulted;
   EXPECT_GE(defaulted.num_threads(), 1u);
-  WorkerPool two(PoolOptions(2, true));
+  WorkerPool two(PoolOptions(2));
   EXPECT_EQ(two.num_threads(), 2u);
 }
 
 TEST(WorkerPoolTest, StrandRunsTasksInFifoOrder) {
-  WorkerPool pool(PoolOptions(4, true));
+  WorkerPool pool(PoolOptions(4));
   auto strand = pool.CreateStrand();
   std::vector<int> order;  // touched only by strand tasks + the final join
   std::future<void> last;
@@ -49,7 +47,7 @@ TEST(WorkerPoolTest, StrandRunsTasksInFifoOrder) {
 TEST(WorkerPoolTest, StrandsRunConcurrently) {
   // Two strands must be able to execute at the same time: each task waits
   // for the other side's arrival, which deadlocks unless both run.
-  WorkerPool pool(PoolOptions(2, true));
+  WorkerPool pool(PoolOptions(2));
   auto a = pool.CreateStrand();
   auto b = pool.CreateStrand();
   std::promise<void> a_arrived;
@@ -67,7 +65,7 @@ TEST(WorkerPoolTest, StrandsRunConcurrently) {
 }
 
 TEST(WorkerPoolTest, OneStrandNeverOverlapsItself) {
-  WorkerPool pool(PoolOptions(4, true));
+  WorkerPool pool(PoolOptions(4));
   auto strand = pool.CreateStrand();
   std::atomic<int> active{0};
   std::atomic<int> max_active{0};
@@ -93,7 +91,7 @@ TEST(WorkerPoolTest, StealingRescuesStrandBehindBusyHomeWorker) {
   // Homes are assigned round-robin, so with 2 workers the 1st and 3rd
   // strands share home worker 0. Blocking the first strand must not stall
   // the third: whichever worker is free steals it.
-  WorkerPool pool(PoolOptions(2, true));
+  WorkerPool pool(PoolOptions(2));
   auto blocked = pool.CreateStrand();   // home 0
   auto other = pool.CreateStrand();     // home 1
   auto stranded = pool.CreateStrand();  // home 0
@@ -109,33 +107,11 @@ TEST(WorkerPoolTest, StealingRescuesStrandBehindBusyHomeWorker) {
   (void)other;
 }
 
-TEST(WorkerPoolTest, DisabledStealingPinsStrandsToTheirHomeWorker) {
-  // Same layout with stealing off: the third strand shares home worker 0
-  // with the blocked strand and can make no progress until the blocker
-  // finishes, while worker 1 stays responsive. This is deterministic, not
-  // timing-dependent: no code path lets worker 1 run a worker-0 strand.
-  WorkerPool pool(PoolOptions(2, false));
-  auto blocked = pool.CreateStrand();   // home 0
-  auto other = pool.CreateStrand();     // home 1
-  auto stranded = pool.CreateStrand();  // home 0
-  std::promise<void> release;
-  std::shared_future<void> gate = release.get_future().share();
-  std::future<void> blocker = blocked->Post([gate] { gate.wait(); });
-  std::future<void> pinned = stranded->Post([] {});
-  std::future<void> free_lane = other->Post([] {});
-  EXPECT_EQ(free_lane.wait_for(10s), std::future_status::ready);
-  EXPECT_EQ(pinned.wait_for(100ms), std::future_status::timeout);
-  release.set_value();
-  blocker.get();
-  EXPECT_EQ(pinned.wait_for(10s), std::future_status::ready);
-  EXPECT_EQ(pool.steals(), 0u);
-}
-
 TEST(WorkerPoolTest, CountsSteals) {
   // Saturate one home worker with many single-task strands: with only two
   // workers and every strand homed round-robin, the sibling must steal some
   // of worker 0's backlog while worker 0 chews through a blocker.
-  WorkerPool pool(PoolOptions(2, true));
+  WorkerPool pool(PoolOptions(2));
   std::vector<std::unique_ptr<WorkerPool::Strand>> strands;
   std::promise<void> release;
   std::shared_future<void> gate = release.get_future().share();
@@ -157,7 +133,7 @@ TEST(WorkerPoolTest, CountsSteals) {
 }
 
 TEST(WorkerPoolTest, FutureCarriesTaskException) {
-  WorkerPool pool(PoolOptions(1, true));
+  WorkerPool pool(PoolOptions(1));
   auto strand = pool.CreateStrand();
   std::future<void> f =
       strand->Post([] { throw std::runtime_error("task failed"); });
@@ -168,7 +144,7 @@ TEST(WorkerPoolTest, FutureCarriesTaskException) {
 }
 
 TEST(WorkerPoolTest, ManyStrandsManyTasksAllRunSerialized) {
-  WorkerPool pool(PoolOptions(4, true));
+  WorkerPool pool(PoolOptions(4));
   constexpr size_t kStrands = 8;
   constexpr int kTasks = 200;
   std::vector<std::unique_ptr<WorkerPool::Strand>> strands;
