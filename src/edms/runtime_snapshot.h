@@ -68,13 +68,22 @@ struct RuntimeSnapshot {
 /// The shard strand (the only writer, serialized by construction) publishes
 /// a full snapshot after every task; any number of reader threads may read
 /// concurrently and always obtain a torn-free copy. The payload is stored as
-/// relaxed atomic words between the sequence-number fences, so the protocol
-/// is data-race-free by the letter of the memory model (TSan-clean), not
-/// just benign-race-in-practice:
+/// atomic words and the ordering sits on those atomics, with no fences
+/// (Boehm, "Can seqlocks get along with programming language memory
+/// models?", MSPC 2012), so the protocol is data-race-free by the letter of
+/// the memory model, not just benign-race-in-practice, and ThreadSanitizer,
+/// which does not model fences, checks all of it:
 ///
-///   writer: seq -> odd, release fence, store words, seq -> even (release)
-///   reader: read seq (acquire, retry while odd), load words,
-///           acquire fence, re-read seq — retry unless unchanged.
+///   writer: seq -> odd (relaxed), store words (release),
+///           seq -> even (release)
+///   reader: read seq (acquire, retry while odd), load words (acquire),
+///           re-read seq (relaxed) — retry unless unchanged.
+///
+/// A reader that loads any word of a publish in flight synchronizes with
+/// that word's release store, which comes after the odd seq in the writer's
+/// order, so its re-read of seq sees the odd value or a later one and the
+/// read retries. The acquire loads also keep that re-read from moving above
+/// the word loads.
 ///
 /// Readers never block the writer; a reader racing a publish simply retries
 /// (publishes are rare — one per strand task — and writes are ~15 word
@@ -90,10 +99,9 @@ class SnapshotSlot {
   void Publish(const ShardSnapshot& snap) {
     const uint64_t s = seq_.load(std::memory_order_relaxed);
     seq_.store(s + 1, std::memory_order_relaxed);  // odd: write in progress
-    std::atomic_thread_fence(std::memory_order_release);
     const Words words = std::bit_cast<Words>(snap);
     for (size_t i = 0; i < kWords; ++i) {
-      words_[i].store(words[i], std::memory_order_relaxed);
+      words_[i].store(words[i], std::memory_order_release);
     }
     seq_.store(s + 2, std::memory_order_release);  // even: stable again
   }
@@ -105,9 +113,8 @@ class SnapshotSlot {
       const uint64_t s1 = seq_.load(std::memory_order_acquire);
       if ((s1 & 1) != 0) continue;  // publish in flight
       for (size_t i = 0; i < kWords; ++i) {
-        words[i] = words_[i].load(std::memory_order_relaxed);
+        words[i] = words_[i].load(std::memory_order_acquire);
       }
-      std::atomic_thread_fence(std::memory_order_acquire);
       if (seq_.load(std::memory_order_relaxed) == s1) {
         return std::bit_cast<ShardSnapshot>(words);
       }

@@ -2,9 +2,10 @@
 // ShardedEdmsRuntime::Snapshot() under full streaming concurrency.
 //
 // The CI thread-sanitizer job runs this suite: the seqlock stores its
-// payload as relaxed atomic words between fences, so it must be
-// data-race-free by the memory model, not merely torn-free in practice —
-// TSan vets exactly that. The stress test below runs Snapshot() readers
+// payload as atomic words with release stores and acquire loads and no
+// fences, so it must be data-race-free by the memory model, not merely
+// torn-free in practice, and TSan, which does not model fences, vets the
+// whole protocol. The stress test below runs Snapshot() readers
 // against >= 4 producer threads and an advancing control loop, asserting
 // per-shard coherence invariants on every read.
 #include <gtest/gtest.h>
