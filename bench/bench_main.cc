@@ -26,7 +26,8 @@ BenchResult& BenchResult::Metric(const std::string& key, double value) {
   return *this;
 }
 
-BenchReport::BenchReport(std::string bench_name) : name_(std::move(bench_name)) {}
+BenchReport::BenchReport(std::string bench_name)
+    : name_(std::move(bench_name)) {}
 
 void BenchReport::AddConfig(const std::string& key, const std::string& value) {
   config_.emplace_back(key, "\"" + JsonEscape(value) + "\"");

@@ -108,10 +108,9 @@ ComboResult RunCombo(const std::string& name,
 
 int main() {
   bool small = std::getenv("MIRABEL_BENCH_SMALL") != nullptr;
-  std::vector<int64_t> counts = small
-                                    ? std::vector<int64_t>{50000, 100000, 200000}
-                                    : std::vector<int64_t>{100000, 200000,
-                                                           400000, 800000};
+  std::vector<int64_t> counts =
+      small ? std::vector<int64_t>{50000, 100000, 200000}
+            : std::vector<int64_t>{100000, 200000, 400000, 800000};
 
   // Attribute diversity tuned so that P0 (exact matching) compresses only
   // modestly (the paper's Fig. 5(a) has P0 just above ratio 4 at 800k

@@ -31,10 +31,12 @@ class GBenchJsonReporter : public benchmark::ConsoleReporter {
       row.Wall(run.real_accumulated_time);
       row.Metric("iterations", static_cast<double>(run.iterations));
       if (run.iterations > 0) {
-        row.Metric("real_time_per_iter_s",
-                   run.real_accumulated_time / static_cast<double>(run.iterations));
-        row.Metric("cpu_time_per_iter_s",
-                   run.cpu_accumulated_time / static_cast<double>(run.iterations));
+        row.Metric(
+            "real_time_per_iter_s",
+            run.real_accumulated_time / static_cast<double>(run.iterations));
+        row.Metric(
+            "cpu_time_per_iter_s",
+            run.cpu_accumulated_time / static_cast<double>(run.iterations));
       }
       auto items = run.counters.find("items_per_second");
       if (items != run.counters.end()) {

@@ -4,8 +4,9 @@
 //   Step 2  The prosumer node generates a flex-offer (Fig. 3): a 2 h profile,
 //           earliest start 22:00, latest start 05:00.
 //   Step 3  The trader's EdmsEngine negotiates, aggregates and schedules the
-//           offer against the wind forecast — charging starts when RES supply
-//           peaks (the paper's run lands at 03:00) — and assigns the schedule.
+//           offer against the wind forecast — charging starts when RES
+//           supply peaks (the paper's run lands at 03:00) — and assigns the
+//           schedule.
 //   Step 4  The consumer node charges the car; the battery is full by ~05:00.
 #include <cstdio>
 #include <cstdlib>
@@ -25,7 +26,8 @@ int main(int argc, char** argv) {
   size_t num_shards = 1;
   if (argc > 1) {
     long parsed = std::strtol(argv[1], nullptr, 10);
-    num_shards = parsed < 1 ? 1 : (parsed > 64 ? 64 : static_cast<size_t>(parsed));
+    num_shards =
+        parsed < 1 ? 1 : (parsed > 64 ? 64 : static_cast<size_t>(parsed));
   }
   // Step 1+2: the flex-offer. 2 h (8 slices) at up to 6.25 kWh/slice =
   // 50 kWh battery; the consumer allows shaving down to 5 kWh/slice.

@@ -19,7 +19,8 @@ int main(int argc, char** argv) {
   size_t num_shards = 1;
   if (argc > 1) {
     long parsed = std::strtol(argv[1], nullptr, 10);
-    num_shards = parsed < 1 ? 1 : (parsed > 64 ? 64 : static_cast<size_t>(parsed));
+    num_shards =
+        parsed < 1 ? 1 : (parsed > 64 ? 64 : static_cast<size_t>(parsed));
   }
   // --- 1. A few household flex-offers (paper Fig. 3 style) -----------------
   // Two dishwashers and an EV charger, all willing to start tonight between

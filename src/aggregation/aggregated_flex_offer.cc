@@ -162,7 +162,9 @@ Status AddMember(const FlexOffer& member, AggregatedFlexOffer* agg) {
   // Price: recompute the weighted mean incrementally.
   double w_new = std::fabs(member.TotalMaxEnergy());
   double w_old = 0.0;
-  for (const auto& m : agg->members) w_old += std::fabs(m.offer.TotalMaxEnergy());
+  for (const auto& m : agg->members) {
+    w_old += std::fabs(m.offer.TotalMaxEnergy());
+  }
   double total = w_old + w_new;
   if (total > 0) {
     agg->macro.unit_price_eur =

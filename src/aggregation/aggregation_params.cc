@@ -18,7 +18,8 @@ int64_t Bucket(int64_t value, int64_t tolerance) {
 
 std::string AggregationParams::ToString() const {
   char buf[96];
-  std::snprintf(buf, sizeof(buf), "AggregationParams{sat_tol=%lld tf_tol=%lld dur_tol=%lld}",
+  std::snprintf(buf, sizeof(buf),
+                "AggregationParams{sat_tol=%lld tf_tol=%lld dur_tol=%lld}",
                 static_cast<long long>(start_after_tolerance),
                 static_cast<long long>(time_flexibility_tolerance),
                 static_cast<long long>(duration_tolerance));

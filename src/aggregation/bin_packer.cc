@@ -70,8 +70,9 @@ std::vector<SubGroupUpdate> BinPacker::Process(
           state.offers.end());
     }
     for (const FlexOffer& fo : gu.added) state.offers.push_back(fo);
-    std::sort(state.offers.begin(), state.offers.end(),
-              [](const FlexOffer& a, const FlexOffer& b) { return a.id < b.id; });
+    std::sort(
+        state.offers.begin(), state.offers.end(),
+        [](const FlexOffer& a, const FlexOffer& b) { return a.id < b.id; });
 
     // Repack and diff against the previously allocated sub-groups.
     std::vector<std::vector<FlexOffer>> bins = Pack(state.offers);

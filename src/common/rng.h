@@ -46,7 +46,8 @@ class Rng {
   template <typename T>
   void Shuffle(std::vector<T>* v) {
     for (size_t i = v->size(); i > 1; --i) {
-      size_t j = static_cast<size_t>(UniformInt(0, static_cast<int64_t>(i) - 1));
+      size_t j =
+          static_cast<size_t>(UniformInt(0, static_cast<int64_t>(i) - 1));
       std::swap((*v)[i - 1], (*v)[j]);
     }
   }

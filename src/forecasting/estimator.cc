@@ -160,7 +160,8 @@ void NelderMeadRun(BudgetedObjective* obj,
     // Shrink towards the best vertex.
     for (size_t i = 1; i <= n; ++i) {
       for (size_t d = 0; d < n; ++d) {
-        simplex[i].x[d] = simplex[0].x[d] + 0.5 * (simplex[i].x[d] - simplex[0].x[d]);
+        simplex[i].x[d] =
+            simplex[0].x[d] + 0.5 * (simplex[i].x[d] - simplex[0].x[d]);
       }
       simplex[i].f = (*obj)(simplex[i].x);
       if (obj->Exhausted()) return;
@@ -240,7 +241,8 @@ EstimationResult SimulatedAnnealingEstimator::Estimate(
       f_current = f_candidate;
     }
     temperature *= config_.cooling;
-    if (temperature < 1e-6) temperature = config_.initial_temperature;  // reheat
+    // Reheat.
+    if (temperature < 1e-6) temperature = config_.initial_temperature;
   }
   return obj.Finish();
 }

@@ -10,8 +10,9 @@ Result<TimeSeries> TimeSeries::Slice(size_t from, size_t count) const {
     return Status::OutOfRange("slice exceeds series length");
   }
   return TimeSeries(
-      std::vector<double>(values_.begin() + static_cast<ptrdiff_t>(from),
-                          values_.begin() + static_cast<ptrdiff_t>(from + count)),
+      std::vector<double>(
+          values_.begin() + static_cast<ptrdiff_t>(from),
+          values_.begin() + static_cast<ptrdiff_t>(from + count)),
       periods_per_day_);
 }
 

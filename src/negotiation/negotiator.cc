@@ -7,8 +7,9 @@ Negotiator::Negotiator() : Negotiator(Config()) {}
 Negotiator::Negotiator(const Config& config)
     : config_(config),
       pricer_(config.weights, config.potentials),
-      acceptance_(config.acceptance,
-                  MonetizeFlexibilityPricer(config.weights, config.potentials)) {}
+      acceptance_(
+          config.acceptance,
+          MonetizeFlexibilityPricer(config.weights, config.potentials)) {}
 
 NegotiationOutcome Negotiator::Negotiate(const flexoffer::FlexOffer& offer,
                                          double reservation_price_eur) const {

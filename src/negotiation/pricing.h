@@ -6,8 +6,8 @@
 
 namespace mirabel::negotiation {
 
-/// Price-setting scheme A — "Monetize Flexibility" (paper §7): the value of a
-/// flex-offer is the weighted sum of its flexibility potentials, computable
+/// Price-setting scheme A — "Monetize Flexibility" (paper §7): the value of
+/// a flex-offer is the weighted sum of its flexibility potentials, computable
 /// *before* execution time and therefore usable as an acceptance criterion.
 class MonetizeFlexibilityPricer {
  public:

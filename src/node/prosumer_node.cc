@@ -80,7 +80,8 @@ void ProsumerNode::OnTick(TimeSlice now) {
       ++it;
       continue;
     }
-    Result<const storage::FlexOfferFact*> fact = store_.FindFlexOffer(it->first);
+    Result<const storage::FlexOfferFact*> fact =
+        store_.FindFlexOffer(it->first);
     if (!fact.ok() || (*fact)->state != storage::FlexOfferState::kOffered ||
         (*fact)->offer.assignment_before <= now) {
       it = resubmits_.erase(it);

@@ -124,10 +124,11 @@ Result<SchedulingResult> EvolutionaryScheduler::RunCompiled(
 
   while (!out_of_budget()) {
     // Elitism: carry the best individuals over unchanged.
-    std::partial_sort(
-        population.begin(), population.begin() + config_.elites,
-        population.end(),
-        [](const Individual& a, const Individual& b) { return a.cost < b.cost; });
+    std::partial_sort(population.begin(),
+                      population.begin() + config_.elites, population.end(),
+                      [](const Individual& a, const Individual& b) {
+                        return a.cost < b.cost;
+                      });
     for (int e = 0; e < config_.elites; ++e) {
       next[static_cast<size_t>(e)] = population[static_cast<size_t>(e)];
     }

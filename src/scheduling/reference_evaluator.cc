@@ -159,8 +159,9 @@ Result<double> ReferenceCostEvaluator::TryMove(
 
   // Activation-cost delta.
   for (int64_t j = 0; j < dur; ++j) {
-    delta += fo.unit_price_eur * (std::fabs(SliceEnergy(fo, j, candidate.fill)) -
-                                  std::fabs(SliceEnergy(fo, j, current.fill)));
+    delta += fo.unit_price_eur *
+             (std::fabs(SliceEnergy(fo, j, candidate.fill)) -
+              std::fabs(SliceEnergy(fo, j, current.fill)));
   }
   return delta;
 }

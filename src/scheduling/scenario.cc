@@ -65,9 +65,10 @@ SchedulingProblem MakeScenario(const ScenarioConfig& config) {
     for (int j = 0; j < dur; ++j) {
       double emax = rng.Uniform(config.min_slice_energy_kwh,
                                 config.max_slice_energy_kwh);
-      double emin = config.no_energy_flexibility
-                        ? emax
-                        : emax * (1.0 - rng.Uniform(0.0, config.max_energy_flex));
+      double emin =
+          config.no_energy_flexibility
+              ? emax
+              : emax * (1.0 - rng.Uniform(0.0, config.max_energy_flex));
       flexoffer::EnergyRange r;
       if (production) {
         r.min_kwh = -emax;

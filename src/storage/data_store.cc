@@ -143,7 +143,8 @@ Status DataStore::TransitionFlexOfferAt(size_t row, FlexOfferState to) {
   return Status::OK();
 }
 
-Status DataStore::AttachSchedule(const flexoffer::ScheduledFlexOffer& schedule) {
+Status DataStore::AttachSchedule(
+    const flexoffer::ScheduledFlexOffer& schedule) {
   MIRABEL_ASSIGN_OR_RETURN(size_t row,
                            flex_offers_.Position(schedule.offer_id));
   return AttachScheduleAt(row, schedule);

@@ -124,7 +124,7 @@ class DataStore {
 
   size_t num_flex_offers() const { return flex_offers_.size(); }
 
-  // -- Prices / contracts ------------------------------------------------------
+  // -- Prices / contracts -----------------------------------------------------
   // Append-only like measurements; both lookups return the latest matching
   // row.
 

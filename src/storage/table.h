@@ -58,7 +58,8 @@ class Table {
 
   /// Returns copies of all rows matching `predicate`, in insertion order.
   /// Seeded replays depend on this order.
-  std::vector<Row> Scan(const std::function<bool(const Row&)>& predicate) const {
+  std::vector<Row> Scan(
+      const std::function<bool(const Row&)>& predicate) const {
     std::vector<Row> out;
     for (const Row& row : rows_) {
       if (predicate(row)) out.push_back(row);

@@ -2,11 +2,11 @@
 // interleavings of intake (fresh, repeated, batch-repeated and invalid
 // offers, the reserved id 0 among them), gate ticks, returning macro
 // schedules (forwarding mode), executions (late and duplicate ones included)
-// and deadline passes run against a small reference model that learns each offer's fate from the
-// calls' results and the event stream. After every step the engine's
-// lifecycle counts, its store's per-state fact counts and its stats must
-// equal the model's tallies; at the end every admitted offer has exactly one
-// terminal event.
+// and deadline passes run against a small reference model that learns each
+// offer's fate from the calls' results and the event stream. After every
+// step the engine's lifecycle counts, its store's per-state fact counts and
+// its stats must equal the model's tallies; at the end every admitted offer
+// has exactly one terminal event.
 #include <gtest/gtest.h>
 
 #include <map>

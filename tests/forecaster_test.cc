@@ -61,9 +61,10 @@ TEST(ForecasterTest, OnlineUpdatesKeepRollingSmapeSane) {
   cfg.days = 28;
   auto values = datagen::GenerateDemandSeries(cfg);
   size_t split = values.size() - 96;
-  TimeSeries train(std::vector<double>(values.begin(),
-                                       values.begin() + static_cast<ptrdiff_t>(split)),
-                   48);
+  TimeSeries train(
+      std::vector<double>(values.begin(),
+                          values.begin() + static_cast<ptrdiff_t>(split)),
+      48);
   ASSERT_TRUE(forecaster.Train(train).ok());
   for (size_t i = split; i < values.size(); ++i) {
     ASSERT_TRUE(forecaster.AddMeasurement(values[i]).ok());

@@ -10,20 +10,24 @@ namespace {
 using flexoffer::FlexOffer;
 using testutil::UniformOffer;
 
-
 TEST(GroupKeyTest, ExactToleranceSeparatesValues) {
   AggregationParams p0 = AggregationParams::P0();
-  EXPECT_EQ(MakeGroupKey(UniformOffer(1, 10, 4), p0), MakeGroupKey(UniformOffer(2, 10, 4), p0));
-  EXPECT_NE(MakeGroupKey(UniformOffer(1, 10, 4), p0), MakeGroupKey(UniformOffer(2, 11, 4), p0));
-  EXPECT_NE(MakeGroupKey(UniformOffer(1, 10, 4), p0), MakeGroupKey(UniformOffer(2, 10, 5), p0));
+  EXPECT_EQ(MakeGroupKey(UniformOffer(1, 10, 4), p0),
+            MakeGroupKey(UniformOffer(2, 10, 4), p0));
+  EXPECT_NE(MakeGroupKey(UniformOffer(1, 10, 4), p0),
+            MakeGroupKey(UniformOffer(2, 11, 4), p0));
+  EXPECT_NE(MakeGroupKey(UniformOffer(1, 10, 4), p0),
+            MakeGroupKey(UniformOffer(2, 10, 5), p0));
 }
 
 TEST(GroupKeyTest, ToleranceBucketsNearbyValues) {
   AggregationParams p;
   p.start_after_tolerance = 8;
   p.time_flexibility_tolerance = 0;
-  EXPECT_EQ(MakeGroupKey(UniformOffer(1, 0, 4), p), MakeGroupKey(UniformOffer(2, 8, 4), p));
-  EXPECT_NE(MakeGroupKey(UniformOffer(1, 8, 4), p), MakeGroupKey(UniformOffer(2, 9, 4), p));
+  EXPECT_EQ(MakeGroupKey(UniformOffer(1, 0, 4), p),
+            MakeGroupKey(UniformOffer(2, 8, 4), p));
+  EXPECT_NE(MakeGroupKey(UniformOffer(1, 8, 4), p),
+            MakeGroupKey(UniformOffer(2, 9, 4), p));
 }
 
 TEST(GroupKeyTest, BucketedOffersDeviateAtMostTolerance) {
@@ -31,7 +35,8 @@ TEST(GroupKeyTest, BucketedOffersDeviateAtMostTolerance) {
   p.start_after_tolerance = 5;
   for (int64_t a = 0; a < 40; ++a) {
     for (int64_t b = 0; b < 40; ++b) {
-      if (MakeGroupKey(UniformOffer(1, a, 0), p) == MakeGroupKey(UniformOffer(2, b, 0), p)) {
+      if (MakeGroupKey(UniformOffer(1, a, 0), p) ==
+          MakeGroupKey(UniformOffer(2, b, 0), p)) {
         EXPECT_LE(std::abs(a - b), 5);
       }
     }
@@ -42,7 +47,8 @@ TEST(GroupKeyTest, NegativeToleranceIgnoresAttribute) {
   AggregationParams p;
   p.start_after_tolerance = -1;
   p.time_flexibility_tolerance = 0;
-  EXPECT_EQ(MakeGroupKey(UniformOffer(1, 0, 4), p), MakeGroupKey(UniformOffer(2, 500, 4), p));
+  EXPECT_EQ(MakeGroupKey(UniformOffer(1, 0, 4), p),
+            MakeGroupKey(UniformOffer(2, 500, 4), p));
 }
 
 TEST(GroupKeyTest, DurationGroupingWhenEnabled) {

@@ -26,8 +26,8 @@ using flexoffer::ScheduledFlexOffer;
 /// the macro offers are scheduled, and the disaggregated micro schedules
 /// respect all original constraints while summing to the macro schedules.
 class EndToEndPipeline
-    : public ::testing::TestWithParam<std::pair<const char*, AggregationParams>> {
-};
+    : public ::testing::TestWithParam<
+          std::pair<const char*, AggregationParams>> {};
 
 TEST_P(EndToEndPipeline, AggregateScheduleDisaggregate) {
   datagen::FlexOfferWorkloadConfig workload;

@@ -17,7 +17,8 @@ Message Ping(NodeId from, NodeId to, flexoffer::TimeSlice at) {
 TEST(MessageBusTest, DeliversToRegisteredHandler) {
   MessageBus bus;
   int received = 0;
-  ASSERT_TRUE(bus.Register(1, [&received](const Message&) { ++received; }).ok());
+  ASSERT_TRUE(
+      bus.Register(1, [&received](const Message&) { ++received; }).ok());
   ASSERT_TRUE(bus.Send(Ping(2, 1, 0)).ok());
   bus.AdvanceTo(0);
   EXPECT_EQ(received, 1);
@@ -42,7 +43,8 @@ TEST(MessageBusTest, LatencyDelaysDelivery) {
   cfg.latency_slices = 3;
   MessageBus bus(cfg);
   int received = 0;
-  ASSERT_TRUE(bus.Register(1, [&received](const Message&) { ++received; }).ok());
+  ASSERT_TRUE(
+      bus.Register(1, [&received](const Message&) { ++received; }).ok());
   ASSERT_TRUE(bus.Send(Ping(2, 1, 10)).ok());
   bus.AdvanceTo(12);
   EXPECT_EQ(received, 0);
@@ -71,7 +73,8 @@ TEST(MessageBusTest, DropsConfiguredFraction) {
   cfg.seed = 3;
   MessageBus bus(cfg);
   int received = 0;
-  ASSERT_TRUE(bus.Register(1, [&received](const Message&) { ++received; }).ok());
+  ASSERT_TRUE(
+      bus.Register(1, [&received](const Message&) { ++received; }).ok());
   for (int i = 0; i < 1000; ++i) {
     ASSERT_TRUE(bus.Send(Ping(2, 1, 0)).ok());
   }
@@ -103,7 +106,8 @@ TEST(MessageBusTest, HandlersCanSendCascades) {
 TEST(MessageBusTest, FutureMessagesStayQueued) {
   MessageBus bus;
   int received = 0;
-  ASSERT_TRUE(bus.Register(1, [&received](const Message&) { ++received; }).ok());
+  ASSERT_TRUE(
+      bus.Register(1, [&received](const Message&) { ++received; }).ok());
   ASSERT_TRUE(bus.Send(Ping(2, 1, 100)).ok());
   bus.AdvanceTo(50);
   EXPECT_EQ(received, 0);
@@ -140,7 +144,8 @@ TEST(MessageBusTest, DropWindowDropsEverythingInside) {
   cfg.faults.drop_windows.push_back({10, 20, 1.0});
   MessageBus bus(cfg);
   int received = 0;
-  ASSERT_TRUE(bus.Register(1, [&received](const Message&) { ++received; }).ok());
+  ASSERT_TRUE(
+      bus.Register(1, [&received](const Message&) { ++received; }).ok());
   ASSERT_TRUE(bus.Send(Ping(2, 1, 9)).ok());    // before the window
   ASSERT_TRUE(bus.Send(Ping(2, 1, 10)).ok());   // inside (inclusive from)
   ASSERT_TRUE(bus.Send(Ping(2, 1, 19)).ok());   // inside
@@ -193,7 +198,8 @@ TEST(MessageBusTest, LatencySpikeDelaysWindowedSends) {
   cfg.faults.latency_spikes.push_back({10, 20, 5});
   MessageBus bus(cfg);
   int received = 0;
-  ASSERT_TRUE(bus.Register(1, [&received](const Message&) { ++received; }).ok());
+  ASSERT_TRUE(
+      bus.Register(1, [&received](const Message&) { ++received; }).ok());
   ASSERT_TRUE(bus.Send(Ping(2, 1, 10)).ok());  // due 10 + 1 + 5 = 16
   bus.AdvanceTo(15);
   EXPECT_EQ(received, 0);

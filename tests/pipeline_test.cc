@@ -209,8 +209,8 @@ TEST(PipelineTest, DisaggregateUnknownAggregateNotFound) {
 /// Property: under every parameter combination, all aggregates stay valid
 /// and account for every inserted offer through insert/remove churn.
 class PipelineChurn
-    : public ::testing::TestWithParam<std::pair<const char*, AggregationParams>> {
-};
+    : public ::testing::TestWithParam<
+          std::pair<const char*, AggregationParams>> {};
 
 TEST_P(PipelineChurn, StaysConsistent) {
   AggregationPipeline pipeline({GetParam().second, std::nullopt});

@@ -45,8 +45,11 @@ TEST(TimeDimTest, DenormalisedAttributes) {
 
 TEST(DataStoreTest, ActorHierarchy) {
   DataStore store;
-  ASSERT_TRUE(store.AddActor({1, "tso", ActorRole::kTransmissionSystemOperator, 0}).ok());
-  ASSERT_TRUE(store.AddActor({2, "brp", ActorRole::kBalanceResponsibleParty, 1}).ok());
+  ASSERT_TRUE(
+      store.AddActor({1, "tso", ActorRole::kTransmissionSystemOperator, 0})
+          .ok());
+  ASSERT_TRUE(
+      store.AddActor({2, "brp", ActorRole::kBalanceResponsibleParty, 1}).ok());
   ASSERT_TRUE(store.AddActor({3, "alice", ActorRole::kProsumer, 2}).ok());
   ASSERT_TRUE(store.AddActor({4, "bob", ActorRole::kProsumer, 2}).ok());
   EXPECT_EQ(store.AddActor({1, "dup", ActorRole::kProsumer, 0}).code(),
