@@ -46,10 +46,14 @@ int main() {
 
   std::vector<Setting> settings;
   settings.push_back({"none (micro offers)", false, {}});
-  settings.push_back({"P0", true, {aggregation::AggregationParams::P0(), std::nullopt}});
-  settings.push_back({"P1", true, {aggregation::AggregationParams::P1(), std::nullopt}});
-  settings.push_back({"P2", true, {aggregation::AggregationParams::P2(), std::nullopt}});
-  settings.push_back({"P3", true, {aggregation::AggregationParams::P3(), std::nullopt}});
+  settings.push_back(
+      {"P0", true, {aggregation::AggregationParams::P0(), std::nullopt}});
+  settings.push_back(
+      {"P1", true, {aggregation::AggregationParams::P1(), std::nullopt}});
+  settings.push_back(
+      {"P2", true, {aggregation::AggregationParams::P2(), std::nullopt}});
+  settings.push_back(
+      {"P3", true, {aggregation::AggregationParams::P3(), std::nullopt}});
   {
     aggregation::PipelineConfig with_packer;
     with_packer.params = aggregation::AggregationParams::P3();
@@ -96,7 +100,9 @@ int main() {
       double frac = static_cast<double>(s % 96) / 96.0;
       problem.baseline_imbalance_kwh[s] =
           offer_count * 0.02 *
-          (frac > 0.7 && frac < 0.9 ? 1.5 : (frac > 0.4 && frac < 0.6 ? -1.2 : 0.3));
+          (frac > 0.7 && frac < 0.9
+               ? 1.5
+               : (frac > 0.4 && frac < 0.6 ? -1.2 : 0.3));
     }
     problem.imbalance_penalty_eur.assign(h, 0.3);
     problem.market.buy_price_eur.assign(h, 0.15);
@@ -109,7 +115,11 @@ int main() {
     scheduling::SchedulerOptions options;
     options.time_budget_s = schedule_budget_s;
     options.seed = 3;
+    // Greedy stops once its restarts stop paying, often well inside the
+    // budget, so the report's wall time is measured, not the budget.
+    Stopwatch schedule_watch;
     auto run = scheduler.Run(problem, options);
+    const double schedule_s = schedule_watch.ElapsedSeconds();
     if (!run.ok()) {
       std::cerr << "scheduling failed: " << run.status() << "\n";
       return 1;
@@ -124,7 +134,7 @@ int main() {
     table.AddNumber(run->trace.back().time_s, 3);
 
     report.AddResult(setting.name)
-        .Wall(agg_time + schedule_budget_s)
+        .Wall(agg_time + schedule_s)
         .Items(static_cast<double>(offer_count))
         .Metric("macro_count", static_cast<double>(macros.size()))
         .Metric("aggregation_s", agg_time)

@@ -6,13 +6,17 @@
 //
 // Paper shape to check: both algorithms drive cost down over time; larger
 // instances converge much more slowly; 1000 offers is still efficiently
-// solvable, 10000 calls for stronger aggregation upstream.
+// solvable, 10000 calls for stronger aggregation upstream. Greedy stops once
+// its restarts stop paying, so its curve ends at convergence, possibly well
+// before the budget; each report row's wall time is the measured time of
+// its runs.
 #include <algorithm>
 #include <cstdlib>
 #include <iostream>
 
 #include "bench_main.h"
 #include "common/csv.h"
+#include "common/stopwatch.h"
 #include "edms/scheduler_registry.h"
 #include "scheduling/scenario.h"
 #include "scheduling/scheduler.h"
@@ -70,6 +74,7 @@ int main() {
          {"GreedySearch", "EvolutionaryAlgorithm"}) {
       std::vector<double> sums(checkpoints.size(), 0.0);
       double final_sum = 0.0;
+      Stopwatch watch;
       for (int r = 0; r < runs; ++r) {
         auto scheduler =
             std::move(edms::SchedulerRegistry::Default().Create(algo))
@@ -87,6 +92,7 @@ int main() {
         }
         final_sum += result->cost.total();
       }
+      const double elapsed_s = watch.ElapsedSeconds();
       for (size_t c = 0; c < checkpoints.size(); ++c) {
         table.BeginRow();
         table.AddInt(scale.offers);
@@ -94,12 +100,12 @@ int main() {
         table.AddNumber(checkpoints[c], 2);
         table.AddNumber(sums[c] / runs, 1);
       }
-      std::printf("%5d offers  %-22s final avg cost %10.1f EUR\n",
-                  scale.offers, algo.c_str(), final_sum / runs);
+      std::printf("%5d offers  %-22s final avg cost %10.1f EUR (%.2fs)\n",
+                  scale.offers, algo.c_str(), final_sum / runs, elapsed_s);
       report
           .AddResult(std::string(algo == "GreedySearch" ? "GS" : "EA") + "/" +
                      std::to_string(scale.offers))
-          .Wall(scale.budget_s * runs)
+          .Wall(elapsed_s)
           .Items(static_cast<double>(scale.offers) * runs)
           .Metric("final_avg_cost_eur", final_sum / runs)
           .Metric("budget_s", scale.budget_s);
