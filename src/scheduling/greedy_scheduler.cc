@@ -15,27 +15,26 @@ namespace {
 using flexoffer::TimeSlice;
 
 /// A schedule replaces the incumbent only when it is cheaper by more than
-/// this fraction of the incumbent's cost. The cost after a descent is
-/// updated incrementally, so two descents to the same schedule can differ
-/// by a few ULPs. An absolute margin (1e-12 EUR) is at or below one ULP of
-/// a gate cost of 1e4-1e5 EUR, so that drift passed as an improvement: on
-/// perfbench's workloads (seeds 1, 7, 201) every post-restart replacement
-/// but one was 1-2 ULPs (<= 4e-16 relative); the one real late gain, in
-/// hierarchy_3level at seed 7, was 4.2e-6 relative.
+/// this fraction of the incumbent's cost. Two descents to the same schedule
+/// can end a few ULPs apart, because the cost is updated incrementally, and
+/// an absolute margin (1e-12 EUR) is at or below one ULP of a 1e4-1e5 EUR
+/// gate cost. On perfbench's workloads (seeds 1, 7, 201) every post-restart
+/// replacement but one was such drift (<= 4e-16 relative); the one real
+/// late gain, in hierarchy_3level at seed 7, was 4.2e-6 relative.
 constexpr double kMinRelativeGain = 1e-9;
 
-/// The run stops at the first local optimum reached after this many random
-/// restarts in a row whose descents did not beat the incumbent by
-/// kMinRelativeGain. On perfbench's workloads a run found its final
-/// incumbent at iteration 121 of 2,048 (brp_rolling) and 32 of 1,024
-/// (hierarchy_3level) on average. Stopping after 2 fruitless restarts kept
-/// brp_rolling's results byte-identical at seeds 1, 7 and 201 and moved
-/// hierarchy_3level's schedule cost by at most 3.4e-10 EUR, while
-/// iterations per brp_rolling run fell from 2,048 to 161. The trade: on MakeScenario's default problem
-/// with a 10^6-iteration cap (scheduler seeds 1-5), restarting until the
-/// cap kept finding real gains late into the run, and this rule stops
-/// 0.04-0.12% (60 offers), 0.08-1.8% (100) and 0.01-0.05% (1,000) above
-/// those results, after 1,020-31,000 iterations.
+/// The run stops at the first local optimum after this many random restarts
+/// in a row whose descents did not beat the incumbent by kMinRelativeGain.
+/// On perfbench's workloads a run found its final incumbent at iteration 121
+/// of 2,048 (brp_rolling) and 32 of 1,024 (hierarchy_3level) on average.
+/// Stopping after 2 fruitless restarts kept brp_rolling byte-identical at
+/// seeds 1, 7 and 201, moved hierarchy_3level's cost by at most 3.4e-10
+/// EUR, and cut brp_rolling's iterations per run from 2,048 to 161. The
+/// trade: on MakeScenario's default problem with a 10^6-iteration cap
+/// (scheduler seeds 1-5), restarting until the cap kept finding real gains
+/// late into the run; this rule stops 0.04-0.12% (60 offers), 0.08-1.8%
+/// (100) and 0.01-0.05% (1,000) above those results, after 1,020-31,000
+/// iterations.
 constexpr int kMaxFruitlessRestarts = 2;
 
 /// Flattened per-offer start-candidate lists: offer i's candidates are

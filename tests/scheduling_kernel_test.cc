@@ -29,6 +29,7 @@
 
 #include "common/math_util.h"
 #include "common/rng.h"
+#include "common/stopwatch.h"
 #include "scheduling/reference_evaluator.h"
 #include "scheduling/scenario.h"
 #include "scheduling/scheduler.h"
@@ -696,6 +697,31 @@ TEST(SchedulerBitIdentityTest, GreedyMatchesPreKernelImplementation) {
   ASSERT_TRUE(got.ok());
   SchedulingResult want = reference::Greedy(problem, options, config);
   ExpectBitIdentical(*got, want);
+}
+
+TEST(SchedulerBitIdentityTest, GreedyConvergedInsideTimeBudgetMatchesCap) {
+  // Greedy's limits are ceilings: a run that converges inside a 30 s budget
+  // returns in well under a second and equals, bit for bit, a run with the
+  // same seed capped at 10^6 iterations, which also stops short of its cap.
+  for (int n : {25, 100}) {
+    ScenarioConfig cfg;
+    cfg.num_offers = n;
+    SchedulingProblem problem = MakeScenario(cfg);
+    SchedulerOptions timed;
+    timed.time_budget_s = 30.0;
+    timed.max_iterations = 0;
+    timed.seed = 3;
+    Stopwatch watch;
+    auto by_time = GreedyScheduler().Run(problem, timed);
+    const double elapsed_s = watch.ElapsedSeconds();
+    ASSERT_TRUE(by_time.ok());
+    EXPECT_LT(elapsed_s, 1.0) << n << " offers";
+    SchedulerOptions capped = IterBudget(1000000, timed.seed);
+    auto by_cap = GreedyScheduler().Run(problem, capped);
+    ASSERT_TRUE(by_cap.ok());
+    EXPECT_LT(by_cap->iterations, capped.max_iterations) << n << " offers";
+    ExpectBitIdentical(*by_time, *by_cap);
+  }
 }
 
 TEST(SchedulerBitIdentityTest, EvolutionaryMatchesPreKernelImplementation) {
