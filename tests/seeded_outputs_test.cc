@@ -13,6 +13,10 @@
 //     offer reaches a terminal event.
 //  2. A small 3-level EdmsSimulation: prosumers, two BRPs forwarding macro
 //     offers, and a TSO that schedules them, over the acked message bus.
+//  3. The same hierarchy with one slice of bus latency under the
+//     `kitchen_sink` chaos plan (loss, a drop window, a BRP blackout, a
+//     latency spike and a BRP stall): the run that reaches the transport's
+//     retry, dedupe and dead-letter paths.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -26,6 +30,7 @@
 #include "datagen/energy_series_generator.h"
 #include "datagen/flex_offer_generator.h"
 #include "edms/edms_engine.h"
+#include "node/fault_plan.h"
 #include "node/simulation.h"
 #include "scheduling/scheduler.h"
 
@@ -195,10 +200,11 @@ std::string RunEngineRoundTrip() {
 }
 
 // ---------------------------------------------------------------------------
-// Workload 2: a TSO, two BRPs and their prosumers over two simulated days.
+// Workloads 2 and 3: a TSO, two BRPs and their prosumers over two simulated
+// days, on a clean bus and under faults.
 // ---------------------------------------------------------------------------
 
-std::string RunThreeLevelSimulation() {
+node::SimulationConfig ThreeLevelConfig() {
   node::SimulationConfig config;
   config.num_brps = 2;
   config.prosumers_per_brp = 12;
@@ -211,13 +217,15 @@ std::string RunThreeLevelSimulation() {
   };
   config.scheduler_budget_s = 0.0;
   config.scheduler_max_iterations = 1024;
-  node::EdmsSimulation simulation(config);
-  const node::SimulationReport r = simulation.Run();
+  return config;
+}
+
+/// The counts every 3-level outcome prints, without cost and imbalance.
+std::string ThreeLevelCounts(const node::SimulationReport& r) {
   return Format(
       "created=%lld accepted=%lld rejected=%lld scheduled=%lld "
       "executed=%lld runs=%lld macros=%lld sent=%lld delivered=%lld "
-      "macros_expired=%lld timed_out=%lld "
-      "cost=%.17g before=%.17g after=%.17g",
+      "macros_expired=%lld timed_out=%lld",
       static_cast<long long>(r.offers_created),
       static_cast<long long>(r.offers_accepted),
       static_cast<long long>(r.offers_rejected),
@@ -228,8 +236,39 @@ std::string RunThreeLevelSimulation() {
       static_cast<long long>(r.messages_sent),
       static_cast<long long>(r.messages_delivered),
       static_cast<long long>(r.macros_expired_unscheduled),
-      static_cast<long long>(r.executions_timed_out), r.schedule_cost_eur,
-      r.imbalance_before_kwh, r.imbalance_after_kwh);
+      static_cast<long long>(r.executions_timed_out));
+}
+
+std::string CostAndImbalance(const node::SimulationReport& r) {
+  return Format("cost=%.17g before=%.17g after=%.17g", r.schedule_cost_eur,
+                r.imbalance_before_kwh, r.imbalance_after_kwh);
+}
+
+std::string RunThreeLevelSimulation() {
+  node::EdmsSimulation simulation(ThreeLevelConfig());
+  const node::SimulationReport r = simulation.Run();
+  return ThreeLevelCounts(r) + " " + CostAndImbalance(r);
+}
+
+std::string RunFaultedThreeLevelSimulation() {
+  node::SimulationConfig config = ThreeLevelConfig();
+  config.bus.latency_slices = 1;
+  for (const node::NamedFaultPlan& named :
+       node::ChaosScenarios(2 * kSlicesPerDay)) {
+    if (named.name == "kitchen_sink") config.bus.faults = named.plan;
+  }
+  EXPECT_FALSE(config.bus.faults.empty());
+  node::EdmsSimulation simulation(config);
+  const node::SimulationReport r = simulation.Run();
+  return ThreeLevelCounts(r) +
+         Format(" dropped=%lld retries=%lld dead=%lld dupes=%lld "
+                "late_refused=%lld ",
+                static_cast<long long>(r.messages_dropped),
+                static_cast<long long>(r.transport_retries),
+                static_cast<long long>(r.transport_dead_letters),
+                static_cast<long long>(r.transport_duplicates_dropped),
+                static_cast<long long>(r.late_offers_refused)) +
+         CostAndImbalance(r);
 }
 
 TEST(SeededOutputsTest, EngineRoundTrip) {
@@ -247,6 +286,16 @@ TEST(SeededOutputsTest, ThreeLevelSimulation) {
             "macros_expired=0 timed_out=131 "
             "cost=2588.0103708016482 before=32049.344874395218 "
             "after=31466.907760176633");
+}
+
+TEST(SeededOutputsTest, FaultedThreeLevelSimulation) {
+  EXPECT_EQ(RunFaultedThreeLevelSimulation(),
+            "created=415 accepted=158 rejected=217 scheduled=27 "
+            "executed=27 runs=7 macros=57 sent=2629 delivered=2176 "
+            "macros_expired=59 timed_out=43 dropped=453 retries=487 dead=19 "
+            "dupes=135 late_refused=221 "
+            "cost=1492.6411016281795 before=18734.120133011755 "
+            "after=18557.235780747171");
 }
 
 }  // namespace
