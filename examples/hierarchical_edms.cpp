@@ -4,6 +4,11 @@
 // slice clock, including network latency and message loss. Pass a shard
 // count as the first argument to partition every aggregating node's engine
 // (default 1 shard per node).
+//
+// Every gate's greedy run is capped by iterations, not by wall-clock time,
+// so the output depends on neither the host's speed nor the shard count
+// (beyond the first line). Its ctest entries compare stdout with
+// examples/expected/hierarchical_edms_<shards>.txt.
 #include <cstdio>
 #include <cstdlib>
 
@@ -12,6 +17,10 @@
 using mirabel::node::EdmsSimulation;
 using mirabel::node::SimulationConfig;
 using mirabel::node::SimulationReport;
+
+/// Greedy iterations per scheduling run; deep enough that greedy's own stop
+/// rule ends most runs.
+constexpr int kGreedyIterations = 4096;
 
 int main(int argc, char** argv) {
   size_t shards = 1;
@@ -30,6 +39,8 @@ int main(int argc, char** argv) {
     config.offers_per_day = 4.0;
     config.seed = 11;
     config.shards_per_node = shards;
+    config.scheduler_budget_s = 0.0;
+    config.scheduler_max_iterations = kGreedyIterations;
     std::puts("== 2-level EDMS (prosumers + BRPs) ==");
     EdmsSimulation sim(config);
     SimulationReport report = sim.Run();
@@ -47,6 +58,8 @@ int main(int argc, char** argv) {
     config.offers_per_day = 4.0;
     config.seed = 11;
     config.shards_per_node = shards;
+    config.scheduler_budget_s = 0.0;
+    config.scheduler_max_iterations = kGreedyIterations;
     std::puts("== 3-level EDMS (prosumers + BRPs + TSO) ==");
     EdmsSimulation sim(config);
     SimulationReport report = sim.Run();
@@ -67,6 +80,8 @@ int main(int argc, char** argv) {
     config.bus.latency_slices = 1;
     config.bus.drop_probability = 0.05;
     config.shards_per_node = shards;
+    config.scheduler_budget_s = 0.0;
+    config.scheduler_max_iterations = kGreedyIterations;
     std::puts("== 2-level EDMS with 5% message loss ==");
     EdmsSimulation sim(config);
     SimulationReport report = sim.Run();
