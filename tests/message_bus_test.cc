@@ -2,6 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
+#include <functional>
+#include <map>
+#include <utility>
+#include <vector>
+
+#include "common/rng.h"
+
 namespace mirabel::node {
 namespace {
 
@@ -217,6 +225,161 @@ TEST(MessageBusTest, ReportBacklogCountsUndelivered) {
   EXPECT_EQ(bus.ReportBacklog(), 1u);  // also logs a warning
   bus.AdvanceTo(100);
   EXPECT_EQ(bus.ReportBacklog(), 0u);
+}
+
+/// The bus's delivery order as first written, kept as the reference the bus
+/// must match: every pass pops and re-pushes each queued message, delivering
+/// the due ones, and passes repeat until one delivers nothing. Messages a
+/// handler sends during a pass go to the back, behind the rest of the pass,
+/// so each one takes the place of the message that caused it.
+class RotatingReference {
+ public:
+  explicit RotatingReference(const MessageBus::Config& config)
+      : config_(config) {}
+
+  void Register(NodeId id, std::function<void(const Message&)> handler) {
+    handlers_[id] = std::move(handler);
+  }
+
+  void Send(const Message& msg) {
+    int64_t extra = 0;
+    for (const FaultPlan::LatencySpike& s : config_.faults.latency_spikes) {
+      if (msg.sent_at >= s.from && msg.sent_at < s.to) extra += s.extra_slices;
+    }
+    queue_.push_back({msg.sent_at + config_.latency_slices + extra, msg});
+  }
+
+  void AdvanceTo(flexoffer::TimeSlice now) {
+    bool progress = true;
+    while (progress) {
+      progress = false;
+      const size_t n = queue_.size();
+      for (size_t i = 0; i < n; ++i) {
+        std::pair<flexoffer::TimeSlice, Message> item =
+            std::move(queue_.front());
+        queue_.pop_front();
+        if (item.first <= now) {
+          handlers_[item.second.to](item.second);
+          progress = true;
+        } else {
+          queue_.push_back(std::move(item));
+        }
+      }
+    }
+  }
+
+  size_t pending() const { return queue_.size(); }
+
+ private:
+  MessageBus::Config config_;
+  std::map<NodeId, std::function<void(const Message&)>> handlers_;
+  std::deque<std::pair<flexoffer::TimeSlice, Message>> queue_;
+};
+
+/// One delivery: the slice the bus was advanced to, the recipient and the
+/// message's tag (its offer_id, unique per send).
+struct Delivery {
+  flexoffer::TimeSlice at;
+  NodeId to;
+  uint64_t tag;
+  bool operator==(const Delivery&) const = default;
+};
+
+/// Drives `bus` with a seeded script over `slices` slices and returns every
+/// delivery in order. Four nodes; each slice sends 0-3 messages from outside
+/// any handler, then advances the bus 1-3 times with sends in between, and
+/// every fifth slice or so is skipped. Every handler sends 0-2 replies (0.5
+/// on average, so that cascades die out) until the final drain. All draws
+/// come from one stream, so two buses that deliver in the same order see the
+/// same script.
+template <typename Bus>
+std::vector<Delivery> RunScript(Bus& bus, uint64_t seed,
+                                flexoffer::TimeSlice slices) {
+  constexpr NodeId kNodes = 4;
+  Rng rng(seed);
+  std::vector<Delivery> deliveries;
+  flexoffer::TimeSlice now = 0;
+  uint64_t next_tag = 1;
+  bool replying = true;
+  auto send = [&](NodeId from, NodeId to) {
+    Message m = Ping(from, to, now);
+    m.offer_id = next_tag++;
+    (void)bus.Send(m);
+  };
+  auto random_node = [&] { return 1 + static_cast<NodeId>(rng.Index(kNodes)); };
+  for (NodeId id = 1; id <= kNodes; ++id) {
+    bus.Register(id, [&, id](const Message& m) {
+      deliveries.push_back({now, id, m.offer_id});
+      if (!replying || !rng.Bernoulli(0.5)) return;
+      const int64_t replies = rng.UniformInt(0, 2);
+      for (int64_t r = 0; r < replies; ++r) send(id, random_node());
+    });
+  }
+  for (now = 0; now < slices; ++now) {
+    const int64_t outside = rng.UniformInt(0, 3);
+    for (int64_t i = 0; i < outside; ++i) send(random_node(), random_node());
+    if (rng.Bernoulli(0.2)) continue;  // no advance at this slice
+    const int64_t advances = rng.UniformInt(1, 3);
+    for (int64_t a = 0; a < advances; ++a) {
+      bus.AdvanceTo(now);
+      if (rng.Bernoulli(0.5)) send(random_node(), random_node());
+    }
+  }
+  // Deliver the tail without further replies.
+  replying = false;
+  now = slices + 64;
+  bus.AdvanceTo(now);
+  EXPECT_EQ(bus.pending(), 0u);
+  return deliveries;
+}
+
+TEST(MessageBusTest, DeliveryOrderMatchesRotatingReference) {
+  for (int64_t latency = 0; latency <= 3; ++latency) {
+    for (uint64_t seed = 1; seed <= 8; ++seed) {
+      MessageBus::Config config;
+      config.latency_slices = latency;
+      config.faults.latency_spikes.push_back({20, 35, 3});
+      MessageBus bus(config);
+      RotatingReference reference(config);
+      const std::vector<Delivery> got = RunScript(bus, seed, 60);
+      const std::vector<Delivery> want = RunScript(reference, seed, 60);
+      ASSERT_GT(want.size(), 100u);
+      EXPECT_EQ(got, want) << "latency " << latency << ", seed " << seed;
+      EXPECT_EQ(bus.delivered(), static_cast<int64_t>(want.size()));
+    }
+  }
+}
+
+TEST(MessageBusTest, ReplyTakesThePlaceOfItsCause) {
+  // A sends m1 to B at slice 0; C sends m2 to A at slice 1, before the bus
+  // advances; B's handler replies r1 to A during AdvanceTo(1). Both m2 and
+  // r1 fall due at slice 2, and r1 comes first: it took m1's place, which
+  // was ahead of m2. Delivery is not in send order.
+  constexpr NodeId kA = 1, kB = 2, kC = 3;
+  MessageBus::Config config;
+  config.latency_slices = 1;
+  MessageBus bus(config);
+  std::vector<uint64_t> at_a;
+  ASSERT_TRUE(bus.Register(kA, [&at_a](const Message& m) {
+                   at_a.push_back(m.offer_id);
+                 }).ok());
+  ASSERT_TRUE(bus.Register(kB, [&bus](const Message& m) {
+                   Message r1 = Ping(kB, kA, bus.now());
+                   r1.offer_id = 100 + m.offer_id;
+                   ASSERT_TRUE(bus.Send(r1).ok());
+                 }).ok());
+  ASSERT_TRUE(bus.Register(kC, [](const Message&) {}).ok());
+  Message m1 = Ping(kA, kB, 0);
+  m1.offer_id = 1;
+  ASSERT_TRUE(bus.Send(m1).ok());
+  bus.AdvanceTo(0);
+  Message m2 = Ping(kC, kA, 1);
+  m2.offer_id = 2;
+  ASSERT_TRUE(bus.Send(m2).ok());
+  bus.AdvanceTo(1);
+  EXPECT_TRUE(at_a.empty());
+  bus.AdvanceTo(2);
+  EXPECT_EQ(at_a, (std::vector<uint64_t>{101, 2}));
 }
 
 }  // namespace

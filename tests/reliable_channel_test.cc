@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "node/message_bus.h"
@@ -189,6 +191,131 @@ TEST(ReliableChannelTest, BackoffDeterministicForFixedSeed) {
     return sent_slices;
   };
   EXPECT_EQ(trace(), trace());
+}
+
+/// An ack-required delivery from `sender` with sequence number `seq`, as a
+/// sender's channel stamps it.
+Message Stamped(NodeId sender, uint64_t seq) {
+  Message m = Payload(sender, 2, 0);
+  m.id = (static_cast<uint64_t>(sender) << 32) | seq;
+  m.requires_ack = true;
+  return m;
+}
+
+/// A receiver channel whose acks go to registered sinks.
+struct Receiver {
+  Receiver() : channel(ChannelConfig(2), &bus) {
+    for (NodeId sender : {3, 4, 5}) {
+      EXPECT_TRUE(bus.Register(sender, [](const Message&) {}).ok());
+    }
+  }
+  MessageBus bus;
+  ReliableChannel channel;
+};
+
+TEST(ReliableChannelTest, DedupesSequenceZeroIds) {
+  // Id sender << 32 | 0 is a valid transport id (only 0 itself means
+  // untracked): the first delivery is handled, a redelivery is not.
+  Receiver r;
+  EXPECT_TRUE(r.channel.Accept(Stamped(3, 0)));
+  EXPECT_FALSE(r.channel.Accept(Stamped(3, 0)));
+  // Another sender's sequence 0 is a different id.
+  EXPECT_TRUE(r.channel.Accept(Stamped(4, 0)));
+  EXPECT_EQ(r.channel.stats().duplicates_dropped, 1);
+  EXPECT_EQ(r.channel.stats().acks_sent, 3);
+}
+
+TEST(ReliableChannelTest, DedupesSparsePerSenderSequences) {
+  // A sender numbers all its sends from one counter, so each receiver sees
+  // a sparse subset of every sender's sequence, interleaved across senders.
+  Receiver r;
+  const std::vector<uint64_t> seqs = {1, 7, 8, 500, 501, 90'000, 1u << 31};
+  for (uint64_t seq : seqs) {
+    for (NodeId sender : {3, 4}) {
+      EXPECT_TRUE(r.channel.Accept(Stamped(sender, seq)))
+          << sender << ":" << seq;
+    }
+  }
+  for (uint64_t seq : seqs) {
+    for (NodeId sender : {3, 4}) {
+      EXPECT_FALSE(r.channel.Accept(Stamped(sender, seq)))
+          << sender << ":" << seq;
+    }
+  }
+  // The gaps were never delivered, so they are new.
+  EXPECT_TRUE(r.channel.Accept(Stamped(3, 2)));
+  EXPECT_TRUE(r.channel.Accept(Stamped(4, 499)));
+  EXPECT_EQ(r.channel.stats().duplicates_dropped,
+            static_cast<int64_t>(2 * seqs.size()));
+}
+
+TEST(ReliableChannelTest, DedupesRedeliveryAfterLaterIds) {
+  // Every id stays remembered however many later ids arrive in between.
+  Receiver r;
+  constexpr uint64_t kIds = 20'000;
+  for (uint64_t seq = 1; seq <= kIds; ++seq) {
+    ASSERT_TRUE(r.channel.Accept(Stamped(5, seq))) << seq;
+  }
+  // Redeliveries in reverse, and one gap filled late.
+  for (uint64_t seq = kIds; seq >= 1; --seq) {
+    ASSERT_FALSE(r.channel.Accept(Stamped(5, seq))) << seq;
+  }
+  EXPECT_TRUE(r.channel.Accept(Stamped(5, kIds + 2)));
+  EXPECT_TRUE(r.channel.Accept(Stamped(5, kIds + 1)));
+  EXPECT_FALSE(r.channel.Accept(Stamped(5, kIds + 2)));
+  EXPECT_EQ(r.channel.stats().duplicates_dropped,
+            static_cast<int64_t>(kIds + 1));
+  // Every delivery is acked, duplicates included.
+  EXPECT_EQ(r.channel.stats().acks_sent, static_cast<int64_t>(2 * kIds + 3));
+}
+
+TEST(ReliableChannelTest, OutOfOrderAcksKeepTheRetrySchedule) {
+  // Three sends at slice 0. Acks for the third and the first arrive, in that
+  // order, at slice 1; the second is never acked. Its retransmits follow the
+  // backoff RetriesWithBackoffUntilDelivered pins (slices 2 and 6, then the
+  // 8-slice cap: 14), and it dead-letters at slice 22 after 4 attempts.
+  MessageBus bus;
+  ReliableChannel sender(ChannelConfig(1), &bus);
+  ASSERT_TRUE(
+      bus.Register(1, [&sender](const Message& m) { (void)sender.Accept(m); })
+          .ok());
+  std::vector<std::pair<flexoffer::TimeSlice, uint64_t>> wire;
+  ASSERT_TRUE(bus.Register(2, [&bus, &wire](const Message& m) {
+                   wire.emplace_back(bus.now(), m.id);
+                 }).ok());
+  for (flexoffer::FlexOfferId offer = 1; offer <= 3; ++offer) {
+    ASSERT_TRUE(sender.Send(Payload(1, 2, 0, offer)).ok());
+  }
+  bus.AdvanceTo(0);
+  ASSERT_EQ(wire.size(), 3u);
+  const uint64_t first = wire[0].second;
+  const uint64_t second = wire[1].second;
+  const uint64_t third = wire[2].second;
+  auto ack = [&bus](uint64_t id, flexoffer::TimeSlice at) {
+    Message a;
+    a.type = MessageType::kAck;
+    a.from = 2;
+    a.to = 1;
+    a.sent_at = at;
+    a.ack_id = id;
+    ASSERT_TRUE(bus.Send(a).ok());
+  };
+  wire.clear();
+  for (flexoffer::TimeSlice t = 1; t < 40; ++t) {
+    sender.OnTick(t);
+    if (t == 1) {
+      ack(third, t);
+      ack(first, t);
+    }
+    bus.AdvanceTo(t);
+  }
+  const std::vector<std::pair<flexoffer::TimeSlice, uint64_t>> want = {
+      {2, second}, {6, second}, {14, second}};
+  EXPECT_EQ(wire, want);
+  EXPECT_EQ(sender.stats().acked, 2);
+  EXPECT_EQ(sender.stats().retries, 3);
+  EXPECT_EQ(sender.stats().dead_letters, 1);
+  EXPECT_EQ(sender.in_flight(), 0u);
 }
 
 }  // namespace
