@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "test_util.h"
@@ -307,6 +308,64 @@ TEST(ProsumerNodeTest, HonorsNackWithBackoffResubmit) {
   // offer before all retries are spent, but the cap is never exceeded.
   EXPECT_LE(prosumer.stats().offers_resubmitted, 3);
   EXPECT_GE(prosumer.stats().offers_resubmitted, 1);
+}
+
+TEST(ProsumerNodeTest, ArmedResubmitSurvivesAnEarlierTick) {
+  // Two NACKed offers wait out different backoffs. The tick that resubmits
+  // the first must leave the second armed: it goes out at its own due slice,
+  // although nothing else falls due in between.
+  MessageBus bus;
+  std::vector<Message> inbox;
+  ASSERT_TRUE(bus.Register(100, [&inbox](const Message& m) {
+                   if (m.type == MessageType::kFlexOffer) inbox.push_back(m);
+                 }).ok());
+  // 96 offers a day: one offer every slice.
+  ProsumerNode prosumer(ProsumerConfig(1000, 100), &bus);
+  for (flexoffer::TimeSlice t = 0; t < 2; ++t) {
+    prosumer.OnTick(t);
+    bus.AdvanceTo(t);
+  }
+  ASSERT_EQ(inbox.size(), 2u);
+  const flexoffer::FlexOffer first = inbox[0].offer;
+  const flexoffer::FlexOffer second = inbox[1].offer;
+  // No offer's deadline falls before slice 8 (leads are at least 16 slices).
+  ASSERT_GE(first.assignment_before, 8);
+  ASSERT_GE(second.assignment_before, 8);
+
+  // Due at 1 + retry-after + backoff 1 + jitter 0..1: [3, 4] and [5, 6].
+  for (const auto& [offer, retry_after] :
+       {std::pair{first.id, 1.0}, std::pair{second.id, 3.0}}) {
+    Message nack;
+    nack.type = MessageType::kNack;
+    nack.from = 100;
+    nack.to = 1000;
+    nack.sent_at = 1;
+    nack.offer_id = offer;
+    nack.value = retry_after;
+    ASSERT_TRUE(bus.Send(nack).ok());
+  }
+  bus.AdvanceTo(1);
+  ASSERT_EQ(prosumer.stats().nacks_received, 2);
+  for (flexoffer::TimeSlice t = 2; t < 8; ++t) {
+    prosumer.OnTick(t);
+    bus.AdvanceTo(t);
+  }
+  auto resent_at = [&inbox](flexoffer::FlexOfferId id) {
+    std::vector<flexoffer::TimeSlice> at;
+    for (size_t i = 2; i < inbox.size(); ++i) {
+      if (inbox[i].offer.id == id) at.push_back(inbox[i].sent_at);
+    }
+    return at;
+  };
+  const std::vector<flexoffer::TimeSlice> first_at = resent_at(first.id);
+  const std::vector<flexoffer::TimeSlice> second_at = resent_at(second.id);
+  ASSERT_EQ(first_at.size(), 1u);
+  EXPECT_GE(first_at[0], 3);
+  EXPECT_LE(first_at[0], 4);
+  ASSERT_EQ(second_at.size(), 1u);
+  EXPECT_GE(second_at[0], 5);
+  EXPECT_LE(second_at[0], 6);
+  EXPECT_EQ(prosumer.stats().offers_resubmitted, 2);
 }
 
 TEST(AggregatingNodeTest, DrainPhaseRefusesLateOffersWithReply) {
