@@ -40,15 +40,15 @@ AggregatingNode::AggregatingNode(const Config& config, MessageBus* bus)
       bus_(bus),
       runtime_(RuntimeConfig(config)),
       channel_(ChannelConfig(config), bus) {
-  Status st = bus_->Register(
-      config_.id, [this](const Message& msg) { HandleMessage(msg); });
+  Status st =
+      bus_->Register(config_.id, [this](Message& msg) { HandleMessage(msg); });
   if (!st.ok()) {
     MIRABEL_LOG(kError) << "node " << config_.id
                         << " registration failed: " << st;
   }
 }
 
-void AggregatingNode::HandleMessage(const Message& msg) {
+void AggregatingNode::HandleMessage(Message& msg) {
   // Transport filter: consume acks, ack what requires it, drop redelivered
   // duplicates before they reach the buffers (an offer redelivered by a
   // sender retry must not enter a batch twice).
@@ -69,14 +69,14 @@ void AggregatingNode::HandleMessage(const Message& msg) {
             reply.to = msg.offer.owner;
             reply.sent_at = bus_->now();
             reply.offer_id = msg.offer.id;
-            (void)channel_.Send(reply);
+            (void)channel_.Send(std::move(reply));
           }
         }
         return;
       }
       // The hot path: buffer, don't submit. The whole tick's intake goes to
       // the runtime as one routed batch in OnTick().
-      pending_offers_.push_back(msg.offer);
+      pending_offers_.push_back(std::move(msg.offer));
       return;
     }
     case MessageType::kScheduledFlexOffer: {
@@ -156,7 +156,7 @@ void AggregatingNode::FlushBuffers(TimeSlice now) {
         reply.to = offer.owner;
         reply.sent_at = now;
         reply.offer_id = offer.id;
-        (void)channel_.Send(reply);
+        (void)channel_.Send(std::move(reply));
       }
     }
   }
@@ -193,7 +193,7 @@ void AggregatingNode::DispatchEvents() {
       reply.sent_at = accepted->at;
       reply.offer_id = accepted->offer;
       reply.value = accepted->agreed_price_eur;
-      (void)channel_.Send(reply);
+      (void)channel_.Send(std::move(reply));
     } else if (auto* rejected = std::get_if<edms::OfferRejected>(&event)) {
       if (rejected->reason == edms::RejectReason::kOverloaded) {
         // Bounded intake shed the offer before an engine saw it. That is a
@@ -207,7 +207,7 @@ void AggregatingNode::DispatchEvents() {
         nack.offer_id = rejected->offer;
         nack.value = static_cast<double>(config_.engine.gate_period);
         ++nacks_sent_;
-        (void)channel_.Send(nack);
+        (void)channel_.Send(std::move(nack));
         continue;
       }
       if (!config_.engine.negotiate) continue;
@@ -217,7 +217,7 @@ void AggregatingNode::DispatchEvents() {
       reply.to = rejected->owner;
       reply.sent_at = rejected->at;
       reply.offer_id = rejected->offer;
-      (void)channel_.Send(reply);
+      (void)channel_.Send(std::move(reply));
     } else if (auto* macro = std::get_if<edms::MacroPublished>(&event)) {
       if (!macro->forwarded) continue;  // scheduled locally this gate
       Message msg;
@@ -226,7 +226,7 @@ void AggregatingNode::DispatchEvents() {
       msg.to = config_.parent;
       msg.sent_at = macro->at;
       msg.offer = std::move(macro->macro);
-      (void)channel_.Send(msg);
+      (void)channel_.Send(std::move(msg));
     } else if (auto* assigned = std::get_if<edms::ScheduleAssigned>(&event)) {
       Message msg;
       msg.type = MessageType::kScheduledFlexOffer;
@@ -234,7 +234,7 @@ void AggregatingNode::DispatchEvents() {
       msg.to = assigned->owner;
       msg.sent_at = assigned->at;
       msg.schedule = std::move(assigned->schedule);
-      (void)channel_.Send(msg);
+      (void)channel_.Send(std::move(msg));
     }
     // OfferExecuted / OfferExpired / MacroExpired close lifecycles without
     // wire traffic: expired owners fall back to their contracts on their

@@ -99,7 +99,8 @@ class AggregatingNode {
   NodeId id() const { return config_.id; }
 
  private:
-  void HandleMessage(const Message& msg);
+  /// Takes the payload of a buffered offer out of `msg`.
+  void HandleMessage(Message& msg);
   /// Submits the buffered offers as one routed batch (dropping re-sent and
   /// batch-internal duplicate ids, as the per-message path used to).
   void FlushOffers(flexoffer::TimeSlice now);

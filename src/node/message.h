@@ -35,7 +35,13 @@ enum class MessageType {
 
 /// A message on the EDMS wide-area network. Exactly the fields implied by
 /// `type` are meaningful; the struct is kept flat (no variant) so messages
-/// stay trivially copyable and easy to log.
+/// are easy to build and log.
+///
+/// It is not trivially copyable: the offer and the schedule each hold a
+/// vector. So payloads move. Senders move a message into
+/// ReliableChannel::Send and MessageBus::Send, the bus stores it once, and the
+/// recipient's handler gets it by mutable reference and may move the payload
+/// out. The one copy is the one a ReliableChannel keeps for retransmission.
 struct Message {
   MessageType type = MessageType::kFlexOffer;
   NodeId from = 0;

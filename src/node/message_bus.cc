@@ -88,7 +88,7 @@ int64_t MessageBus::FaultLatency(const Message& msg) const {
   return extra;
 }
 
-Status MessageBus::Send(const Message& msg) {
+Status MessageBus::Send(Message msg) {
   if (handlers_.count(msg.to) == 0) {
     return Status::NotFound("unknown recipient node " + std::to_string(msg.to));
   }
@@ -103,40 +103,58 @@ Status MessageBus::Send(const Message& msg) {
     ++dropped_;
     return Status::OK();
   }
-  queue_.push_back(
-      {msg.sent_at + config_.latency_slices + FaultLatency(msg), msg});
+  const flexoffer::TimeSlice due =
+      msg.sent_at + config_.latency_slices + FaultLatency(msg);
+  uint32_t slot;
+  if (free_slots_.empty()) {
+    slot = static_cast<uint32_t>(slots_.size());
+    slots_.push_back(std::move(msg));
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+    slots_[slot] = std::move(msg);
+  }
+  (in_pass_ ? next_order_ : order_).push_back({due, slot});
+  min_due_ = std::min(min_due_, due);
   return Status::OK();
 }
 
 void MessageBus::AdvanceTo(flexoffer::TimeSlice now) {
   now_ = std::max(now_, now);
-  // Handlers may enqueue more messages; keep draining until nothing due is
-  // left. Send order is preserved for messages with equal due slices.
-  bool progress = true;
-  while (progress) {
-    progress = false;
-    size_t n = queue_.size();
-    for (size_t i = 0; i < n; ++i) {
-      InFlight item = std::move(queue_.front());
-      queue_.pop_front();
-      if (item.due <= now) {
-        ++delivered_;
-        handlers_[item.msg.to](item.msg);
-        progress = true;
-      } else {
-        queue_.push_back(std::move(item));
-      }
+  // A pass with nothing due would leave the order as it is: skip it.
+  while (min_due_ <= now) DeliveryPass(now);
+}
+
+void MessageBus::DeliveryPass(flexoffer::TimeSlice now) {
+  next_order_.clear();
+  min_due_ = std::numeric_limits<flexoffer::TimeSlice>::max();
+  in_pass_ = true;
+  // Sends from the handlers append to next_order_, behind the survivors
+  // written so far: each reply takes the place of the message it answers.
+  for (const Handle& handle : order_) {
+    if (handle.due > now) {
+      next_order_.push_back(handle);
+      min_due_ = std::min(min_due_, handle.due);
+      continue;
     }
+    // Move the message out first: a send from the handler may reuse the
+    // slot or grow slots_.
+    Message msg = std::move(slots_[handle.slot]);
+    free_slots_.push_back(handle.slot);
+    ++delivered_;
+    handlers_.find(msg.to)->second(msg);
   }
+  in_pass_ = false;
+  order_.swap(next_order_);
 }
 
 size_t MessageBus::ReportBacklog() const {
-  if (!queue_.empty()) {
-    MIRABEL_LOG(kWarning) << "message bus ends with " << queue_.size()
+  if (!order_.empty()) {
+    MIRABEL_LOG(kWarning) << "message bus ends with " << order_.size()
                           << " undelivered message(s); first: "
-                          << queue_.front().msg.ToString();
+                          << slots_[order_.front().slot].ToString();
   }
-  return queue_.size();
+  return order_.size();
 }
 
 }  // namespace mirabel::node

@@ -2,9 +2,10 @@
 #define MIRABEL_NODE_MESSAGE_BUS_H_
 
 #include <cstdint>
-#include <deque>
 #include <functional>
+#include <limits>
 #include <unordered_map>
+#include <vector>
 
 #include "common/result.h"
 #include "common/rng.h"
@@ -39,7 +40,9 @@ class MessageBus {
   MessageBus();
   explicit MessageBus(const Config& config);
 
-  using Handler = std::function<void(const Message&)>;
+  /// Receives each delivered message. The bus owns the message and hands it
+  /// over: a handler may move its payload out.
+  using Handler = std::function<void(Message&)>;
 
   /// Registers the handler of node `id`; AlreadyExists on duplicates.
   Status Register(NodeId id, Handler handler);
@@ -47,10 +50,18 @@ class MessageBus {
   /// Queues `msg` for delivery at msg.sent_at + latency (+ any active
   /// latency spike). Unknown recipients return NotFound at send time (the
   /// sender can react immediately).
-  Status Send(const Message& msg);
+  Status Send(Message msg);
 
-  /// Delivers every queued message due at or before `now`, in send order.
-  /// Handlers may Send() further messages; those are delivered too when due.
+  /// Delivers every queued message due at or before `now`. Handlers may
+  /// Send() further messages; those are delivered too when due.
+  ///
+  /// The order is not send order. The bus keeps its messages in one
+  /// sequence. A message sent outside a delivery joins its end. A delivery
+  /// pass walks the sequence once and delivers each due message; the
+  /// messages its handler sends take its place, in the order sent, so a
+  /// reply can be delivered ahead of a message sent before it. Messages not
+  /// yet due keep their relative order. Passes repeat while anything due is
+  /// left.
   void AdvanceTo(flexoffer::TimeSlice now);
 
   /// The latest slice AdvanceTo() reached — the bus-side clock. Handlers use
@@ -63,7 +74,7 @@ class MessageBus {
   /// Drops attributable to the FaultPlan (blackouts, partitions, drop
   /// windows), a subset of dropped().
   int64_t dropped_by_fault() const { return dropped_by_fault_; }
-  size_t pending() const { return queue_.size(); }
+  size_t pending() const { return order_.size(); }
 
   /// End-of-run backlog check: logs a warning when messages are still
   /// undelivered and returns their count — the bus-level mirror of
@@ -77,15 +88,31 @@ class MessageBus {
   /// Extra delivery latency from active latency spikes.
   int64_t FaultLatency(const Message& msg) const;
 
-  struct InFlight {
+  /// A queued message: its due slice and its slot in `slots_`.
+  struct Handle {
     flexoffer::TimeSlice due = 0;
-    Message msg;
+    uint32_t slot = 0;
   };
+
+  /// One delivery pass over `order_` (see AdvanceTo).
+  void DeliveryPass(flexoffer::TimeSlice now);
 
   Config config_;
   Rng rng_;
   std::unordered_map<NodeId, Handler> handlers_;
-  std::deque<InFlight> queue_;
+  /// Queued messages, each stored once; a delivery frees its slot for
+  /// reuse.
+  std::vector<Message> slots_;
+  std::vector<uint32_t> free_slots_;
+  /// The delivery sequence. A pass writes the survivors and the handlers'
+  /// sends to `next_order_` and swaps the two.
+  std::vector<Handle> order_;
+  std::vector<Handle> next_order_;
+  /// True during a pass: sends go to `next_order_`.
+  bool in_pass_ = false;
+  /// The least due slice queued; max() when nothing is.
+  flexoffer::TimeSlice min_due_ =
+      std::numeric_limits<flexoffer::TimeSlice>::max();
   flexoffer::TimeSlice now_ = 0;
   int64_t sent_ = 0;
   int64_t delivered_ = 0;

@@ -33,8 +33,8 @@ ProsumerNode::ProsumerNode(const Config& config, MessageBus* bus)
       rng_(config.seed),
       retry_rng_(config.seed * 0x2545F4914F6CDD1DULL + config.id),
       channel_(ChannelConfig(config), bus) {
-  Status st = bus_->Register(
-      config_.id, [this](const Message& msg) { HandleMessage(msg); });
+  Status st =
+      bus_->Register(config_.id, [this](Message& msg) { HandleMessage(msg); });
   if (!st.ok()) {
     MIRABEL_LOG(kError) << "prosumer " << config_.id
                         << " registration failed: " << st;
@@ -71,10 +71,47 @@ FlexOffer ProsumerNode::MakeOffer(TimeSlice now) {
 void ProsumerNode::OnTick(TimeSlice now) {
   // Transport first: retransmit unacked sends that are due.
   channel_.OnTick(now);
+  // Below next_due_ nothing but device activity can happen: skipping the
+  // resubmits and the store's visits leaves every state and random stream
+  // as a full tick would.
+  if (now >= next_due_) ResubmitDue(now);
+  MaybeEmitOffer(now);
+  if (now < next_due_) return;
 
-  // Resubmit NACKed offers whose retry-after + backoff elapsed. Entries for
-  // offers that meanwhile left the kOffered state (or timed out) are dropped;
-  // the deadline fallback below owns those.
+  // Execute schedules whose profile completed by now, metering the energy.
+  store_.VisitScheduledEndingBy(now, [&](const storage::FlexOfferFact& fact) {
+    (void)store_.TransitionFlexOffer(fact.id,
+                                     storage::FlexOfferState::kExecuted);
+    ++stats_.offers_executed;
+    Message msg;
+    msg.type = MessageType::kMeasurement;
+    msg.from = config_.id;
+    msg.to = config_.brp;
+    msg.sent_at = now;
+    msg.offer_id = fact.id;
+    msg.value = fact.schedule.TotalEnergy();
+    (void)channel_.Send(std::move(msg));
+  });
+
+  // Timed-out offers fall back to the open contract: the load runs at its
+  // default profile, unmanaged.
+  store_.VisitPendingDueBy(now, [&](const storage::FlexOfferFact& fact) {
+    if (store_.TransitionFlexOffer(fact.id, storage::FlexOfferState::kExpired)
+            .ok()) {
+      ++stats_.fallbacks;
+      resubmits_.erase(fact.id);
+    }
+  });
+
+  next_due_ = store_.EarliestDue();
+  for (const auto& [id, resubmit] : resubmits_) {
+    next_due_ = std::min(next_due_, resubmit.due);
+  }
+}
+
+void ProsumerNode::ResubmitDue(TimeSlice now) {
+  // Entries for offers that meanwhile left the kOffered state (or timed out)
+  // are dropped; the deadline fallback owns those.
   for (auto it = resubmits_.begin(); it != resubmits_.end();) {
     if (it->second.due > now) {
       ++it;
@@ -96,50 +133,28 @@ void ProsumerNode::OnTick(TimeSlice now) {
     msg.to = config_.brp;
     msg.sent_at = now;
     msg.offer = (*fact)->offer;
-    (void)channel_.Send(msg);
+    (void)channel_.Send(std::move(msg));
     ++it;
   }
+}
 
-  // Device activity: emit a flex-offer with per-slice probability matching
-  // the configured daily rate.
-  if (rng_.Bernoulli(config_.offers_per_day / flexoffer::kSlicesPerDay)) {
-    FlexOffer fo = MakeOffer(now);
-    if (store_.PutFlexOffer(fo).ok()) {
-      ++stats_.offers_created;
-      Message msg;
-      msg.type = MessageType::kFlexOffer;
-      msg.from = config_.id;
-      msg.to = config_.brp;
-      msg.sent_at = now;
-      msg.offer = fo;
-      (void)channel_.Send(msg);
-    }
+void ProsumerNode::MaybeEmitOffer(TimeSlice now) {
+  // Emit a flex-offer with per-slice probability matching the configured
+  // daily rate.
+  if (!rng_.Bernoulli(config_.offers_per_day / flexoffer::kSlicesPerDay)) {
+    return;
   }
-
-  // Execute schedules whose profile completed by now, metering the energy.
-  store_.VisitScheduledEndingBy(now, [&](const storage::FlexOfferFact& fact) {
-    (void)store_.TransitionFlexOffer(fact.id,
-                                     storage::FlexOfferState::kExecuted);
-    ++stats_.offers_executed;
-    Message msg;
-    msg.type = MessageType::kMeasurement;
-    msg.from = config_.id;
-    msg.to = config_.brp;
-    msg.sent_at = now;
-    msg.offer_id = fact.id;
-    msg.value = fact.schedule.TotalEnergy();
-    (void)channel_.Send(msg);
-  });
-
-  // Timed-out offers fall back to the open contract: the load runs at its
-  // default profile, unmanaged.
-  store_.VisitPendingDueBy(now, [&](const storage::FlexOfferFact& fact) {
-    if (store_.TransitionFlexOffer(fact.id, storage::FlexOfferState::kExpired)
-            .ok()) {
-      ++stats_.fallbacks;
-      resubmits_.erase(fact.id);
-    }
-  });
+  FlexOffer fo = MakeOffer(now);
+  if (!store_.PutFlexOffer(fo).ok()) return;
+  ++stats_.offers_created;
+  next_due_ = std::min(next_due_, fo.assignment_before);
+  Message msg;
+  msg.type = MessageType::kFlexOffer;
+  msg.from = config_.id;
+  msg.to = config_.brp;
+  msg.sent_at = now;
+  msg.offer = std::move(fo);
+  (void)channel_.Send(std::move(msg));
 }
 
 void ProsumerNode::HandleMessage(const Message& msg) {
@@ -181,6 +196,10 @@ void ProsumerNode::HandleMessage(const Message& msg) {
         // the offer to kScheduled when the schedule attaches cleanly.
         if (store_.AttachSchedule(msg.schedule).ok()) {
           ++stats_.schedules_received;
+          next_due_ = std::min(
+              next_due_,
+              msg.schedule.start + static_cast<TimeSlice>(
+                                       msg.schedule.energies_kwh.size()));
         }
       }
       break;
@@ -207,6 +226,7 @@ void ProsumerNode::HandleMessage(const Message& msg) {
       TimeSlice backoff = TimeSlice{1} << std::min(r.attempts, 6);
       r.due = bus_->now() + retry_after + backoff +
               retry_rng_.UniformInt(0, backoff);
+      next_due_ = std::min(next_due_, r.due);
       break;
     }
     default:

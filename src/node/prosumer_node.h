@@ -2,6 +2,7 @@
 #define MIRABEL_NODE_PROSUMER_NODE_H_
 
 #include <cstdint>
+#include <limits>
 #include <map>
 
 #include "common/rng.h"
@@ -64,7 +65,9 @@ class ProsumerNode {
 
   /// Advances the node to slice `now`: retries unacked sends, resubmits
   /// NACKed offers that are due, possibly emits a new flex-offer, executes
-  /// schedules that completed, and expires timed-out offers.
+  /// schedules that completed, and expires timed-out offers. Calls may skip
+  /// slices. A tick with no retry, resubmit, metering or fallback due only
+  /// draws its device activity.
   void OnTick(flexoffer::TimeSlice now);
 
   const ProsumerStats& stats() const { return stats_; }
@@ -76,6 +79,11 @@ class ProsumerNode {
  private:
   void HandleMessage(const Message& msg);
   flexoffer::FlexOffer MakeOffer(flexoffer::TimeSlice now);
+  /// Resubmits the NACKed offers whose retry-after + backoff elapsed.
+  void ResubmitDue(flexoffer::TimeSlice now);
+  /// Device activity: one Bernoulli draw, and on success a new offer stored
+  /// and sent.
+  void MaybeEmitOffer(flexoffer::TimeSlice now);
 
   /// One NACKed offer waiting out its retry-after + backoff.
   struct Resubmit {
@@ -96,6 +104,12 @@ class ProsumerNode {
   /// Ordered by offer id: deterministic resubmission order.
   std::map<flexoffer::FlexOfferId, Resubmit> resubmits_;
   flexoffer::FlexOfferId next_offer_seq_ = 1;
+  /// A lower bound on the first slice at which a resubmit, a metering or a
+  /// fallback can fall due. Lowered when the node stores an offer (its
+  /// deadline), attaches a schedule (its end) or arms a resubmit (its due
+  /// slice); recomputed after every tick that reaches the store's visits.
+  flexoffer::TimeSlice next_due_ =
+      std::numeric_limits<flexoffer::TimeSlice>::min();
 };
 
 }  // namespace mirabel::node

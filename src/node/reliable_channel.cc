@@ -22,10 +22,11 @@ int64_t ReliableChannel::Backoff(int attempt) {
 }
 
 Status ReliableChannel::Send(Message msg) {
-  if (!config_.enabled) return bus_->Send(msg);
+  if (!config_.enabled) return bus_->Send(std::move(msg));
   msg.id = (config_.self << 32) | next_seq_++;
   msg.requires_ack = true;
   ++stats_.sent;
+  // The bus gets a copy; `msg` stays here for retransmission.
   Status st = bus_->Send(msg);
   if (!st.ok()) {
     // Unroutable: nobody to retry towards — dead-letter immediately.
@@ -34,6 +35,7 @@ Status ReliableChannel::Send(Message msg) {
   }
   Pending pending;
   pending.next_retry = msg.sent_at + Backoff(1);
+  next_retry_ = std::min(next_retry_, pending.next_retry);
   pending.msg = std::move(msg);
   in_flight_.emplace(pending.msg.id, std::move(pending));
   return st;
@@ -57,20 +59,21 @@ bool ReliableChannel::Accept(const Message& msg) {
     ack.sent_at = bus_->now();
     ack.ack_id = msg.id;
     ++stats_.acks_sent;
-    (void)bus_->Send(ack);
+    (void)bus_->Send(std::move(ack));
   }
-  if (msg.id != 0 && !seen_.insert(msg.id).second) {
+  if (msg.id != 0 && !seen_.Insert(msg.id, 0)) {
     ++stats_.duplicates_dropped;
     return false;
   }
   return true;
 }
 
-void ReliableChannel::OnTick(flexoffer::TimeSlice now) {
-  if (!config_.enabled) return;
+void ReliableChannel::RetryDue(flexoffer::TimeSlice now) {
+  next_retry_ = std::numeric_limits<flexoffer::TimeSlice>::max();
   for (auto it = in_flight_.begin(); it != in_flight_.end();) {
     Pending& pending = it->second;
     if (pending.next_retry > now) {
+      next_retry_ = std::min(next_retry_, pending.next_retry);
       ++it;
       continue;
     }
@@ -86,6 +89,7 @@ void ReliableChannel::OnTick(flexoffer::TimeSlice now) {
     ++stats_.retries;
     pending.msg.sent_at = now;
     pending.next_retry = now + Backoff(pending.attempts);
+    next_retry_ = std::min(next_retry_, pending.next_retry);
     (void)bus_->Send(pending.msg);
     ++it;
   }

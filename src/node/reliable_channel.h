@@ -2,11 +2,12 @@
 #define MIRABEL_NODE_RELIABLE_CHANNEL_H_
 
 #include <cstdint>
+#include <limits>
 #include <map>
-#include <unordered_set>
 
 #include "common/rng.h"
 #include "node/message_bus.h"
+#include "storage/flat_index.h"
 
 namespace mirabel::node {
 
@@ -68,7 +69,8 @@ class ReliableChannel {
 
   ReliableChannel(const Config& config, MessageBus* bus);
 
-  /// Stamps the transport id, tracks the message and sends it. An
+  /// Stamps the transport id, tracks the message and sends it. The bus gets
+  /// a copy and the channel keeps `msg` for retransmission. An
   /// unroutable recipient (bus NotFound) fails immediately and counts as a
   /// dead letter — there is nobody to retry towards.
   Status Send(Message msg);
@@ -79,8 +81,12 @@ class ReliableChannel {
   bool Accept(const Message& msg);
 
   /// Retransmits every in-flight message whose retry timer expired at
-  /// `now`; dead-letters those out of attempts.
-  void OnTick(flexoffer::TimeSlice now);
+  /// `now`; dead-letters those out of attempts. Returns at once while `now`
+  /// is below every retry timer: such a pass would send nothing and draw no
+  /// jitter.
+  void OnTick(flexoffer::TimeSlice now) {
+    if (now >= next_retry_) RetryDue(now);
+  }
 
   size_t in_flight() const { return in_flight_.size(); }
   const Stats& stats() const { return stats_; }
@@ -94,6 +100,8 @@ class ReliableChannel {
 
   /// timeout * 2^(attempt-1), clamped, plus seeded jitter.
   int64_t Backoff(int attempt);
+  /// The pass of OnTick() over every in-flight message, in id order.
+  void RetryDue(flexoffer::TimeSlice now);
 
   Config config_;
   MessageBus* bus_;
@@ -103,8 +111,14 @@ class ReliableChannel {
   /// Ordered by transport id (== send order) so retransmit order is
   /// deterministic.
   std::map<uint64_t, Pending> in_flight_;
-  /// Transport ids already delivered to the node's handlers.
-  std::unordered_set<uint64_t> seen_;
+  /// A lower bound on every in-flight `next_retry`: Send() lowers it and
+  /// each RetryDue() pass recomputes it. max() when nothing is in flight.
+  flexoffer::TimeSlice next_retry_ =
+      std::numeric_limits<flexoffer::TimeSlice>::max();
+  /// Transport ids already delivered to the node's handlers (the mapped
+  /// value is unused). A sender numbers all its sends from one counter, so a
+  /// receiver sees a sparse subset of each sender's ids: every id is kept.
+  storage::FlatIndex<uint64_t> seen_;
 };
 
 }  // namespace mirabel::node

@@ -94,6 +94,9 @@ struct SimulationReport {
   /// Forwarded macros expired because the parent never returned a schedule.
   int64_t macros_expired_unscheduled = 0;
   /// Assigned offers closed as expired because execution never metered.
+  /// In a 3-level run this also counts every macro schedule the TSO
+  /// assigns: nothing meters a TSO-level offer, so each one ends as an
+  /// execution timeout although no execution was lost.
   int64_t executions_timed_out = 0;
 
   /// Relative imbalance reduction achieved by flex-offer scheduling (the

@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -121,6 +122,21 @@ class DataStore {
   /// first visit. A visit examines only the entries that are due.
   size_t pending_queue_size() const { return pending_.heap.size(); }
   size_t scheduled_queue_size() const { return scheduled_.heap.size(); }
+
+  /// A slice before which neither visitor can find a due offer: the least
+  /// due slice in either queue, stale entries included. The lowest TimeSlice
+  /// while a queue has not been built by its first visit; the highest when
+  /// both queues are empty.
+  flexoffer::TimeSlice EarliestDue() const {
+    flexoffer::TimeSlice due = std::numeric_limits<flexoffer::TimeSlice>::max();
+    for (const DueQueue* queue : {&pending_, &scheduled_}) {
+      if (!queue->built) {
+        return std::numeric_limits<flexoffer::TimeSlice>::min();
+      }
+      if (!queue->heap.empty()) due = std::min(due, queue->heap.front().first);
+    }
+    return due;
+  }
 
   size_t num_flex_offers() const { return flex_offers_.size(); }
 
