@@ -308,7 +308,7 @@ std::vector<Delivery> RunScript(Bus& bus, uint64_t seed,
   };
   auto random_node = [&] { return 1 + static_cast<NodeId>(rng.Index(kNodes)); };
   for (NodeId id = 1; id <= kNodes; ++id) {
-    bus.Register(id, [&, id](const Message& m) {
+    (void)bus.Register(id, [&, id](const Message& m) {
       deliveries.push_back({now, id, m.offer_id});
       if (!replying || !rng.Bernoulli(0.5)) return;
       const int64_t replies = rng.UniformInt(0, 2);
